@@ -257,9 +257,29 @@ fn submit(ctx: &Ctx, req: &Request, stream: &mut TcpStream, ka: bool) -> io::Res
     }
 }
 
-/// The job's current lifecycle state, resolved in terminal-first order
-/// so a job mid-transition reads as its most-final state.
+/// The job's current lifecycle state. The places a job can sit are
+/// read in lifecycle order — `queue/`, then `running/` or its parked
+/// spec under `ckpt/` (claimed for finalizing), then the terminal
+/// records — so a job that moves forward between two reads is found by
+/// a later one. A terminal record wins over a running or parked spec
+/// that is still awaiting cleanup.
 fn state_of(spool: &Spool, id: &str) -> Option<Value> {
+    let pending = spool.pending();
+    if let Some(position) = pending.iter().position(|j| j.id == id) {
+        let job = &pending[position];
+        return Some(
+            ObjBuilder::new()
+                .field("id", id)
+                .field("state", "queued")
+                .field("name", job.request.name.as_str())
+                .field("priority", job.request.priority)
+                .field("position", position)
+                .build(),
+        );
+    }
+    let active = spool
+        .read_running_job(id)
+        .or_else(|| spool.read_parked_job(id));
     if let Some(record) = spool.done(id) {
         let status = record
             .get("status")
@@ -284,41 +304,26 @@ fn state_of(spool: &Spool, id: &str) -> Option<Value> {
                 .build(),
         );
     }
-    if let Some(job) = spool.running().into_iter().find(|j| j.id == id) {
-        let p = job_progress(spool, &job);
-        let attempted = Value::Obj(
-            p.seed_attempted
-                .iter()
-                .map(|(seed, moves)| (seed.to_string(), Value::from(*moves)))
-                .collect(),
-        );
-        return Some(
-            ObjBuilder::new()
-                .field("id", id)
-                .field("state", "running")
-                .field("name", p.name.as_str())
-                .field("seeds_total", p.seeds_total)
-                .field("seeds_done", p.seeds_done)
-                .field("seed_moves_attempted", attempted)
-                .field("moves_budget", p.moves_budget)
-                .field("cancel_requested", spool.cancel_requested(id))
-                .build(),
-        );
-    }
-    let pending = spool.pending();
-    if let Some(position) = pending.iter().position(|j| j.id == id) {
-        let job = &pending[position];
-        return Some(
-            ObjBuilder::new()
-                .field("id", id)
-                .field("state", "queued")
-                .field("name", job.request.name.as_str())
-                .field("priority", job.request.priority)
-                .field("position", position)
-                .build(),
-        );
-    }
-    None
+    let job = active?;
+    let p = job_progress(spool, &job);
+    let attempted = Value::Obj(
+        p.seed_attempted
+            .iter()
+            .map(|(seed, moves)| (seed.to_string(), Value::from(*moves)))
+            .collect(),
+    );
+    Some(
+        ObjBuilder::new()
+            .field("id", id)
+            .field("state", "running")
+            .field("name", p.name.as_str())
+            .field("seeds_total", p.seeds_total)
+            .field("seeds_done", p.seeds_done)
+            .field("seed_moves_attempted", attempted)
+            .field("moves_budget", p.moves_budget)
+            .field("cancel_requested", spool.cancel_requested(id))
+            .build(),
+    )
 }
 
 /// `GET /v1/jobs/:id`.

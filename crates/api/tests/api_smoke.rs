@@ -140,6 +140,38 @@ fn malformed_deck_is_a_structured_422_with_location() {
     stop(server, &shutdown, pool, &dir);
 }
 
+/// Decks whose every evaluation would fail — a jig device with no bias
+/// counterpart, a `.pz` stimulus that is not a source — are a 422 that
+/// names the culprit, and never enter the queue.
+#[test]
+fn unevaluable_decks_are_a_structured_422() {
+    let (server, shutdown, pool, dir) = start("unevaluable", ServerOptions::default(), 0);
+    let addr = server.addr();
+    let diffamp = include_str!("../../core/src/testdata/diffamp.ox");
+    let unbiased = diffamp.replace(
+        "cl2 out- 0 1p",
+        "cl2 out- 0 1p\nm9 out+ in+ nvss nvss nmos w=10u l=2u",
+    );
+    let not_a_source = diffamp.replace(".pz tf v(out+) vin", ".pz tf v(out+) cl1");
+    for (source, culprit) in [(unbiased, "m9"), (not_a_source, "cl1")] {
+        let body = astrx_oblx::json::ObjBuilder::new()
+            .field("name", "unevaluable")
+            .field("source", source.as_str())
+            .build()
+            .to_json();
+        let resp = post(addr, "/v1/jobs", &body);
+        assert_eq!(resp.status, 422, "{culprit}: {}", resp.text());
+        let err = resp.json();
+        let err = err.get("error").expect("error object");
+        assert_eq!(err.get("kind").unwrap().as_str(), Some("compile"));
+        let message = err.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(&format!("`{culprit}`")), "{message}");
+    }
+    let spool = Spool::open(dir.join("spool")).unwrap();
+    assert!(spool.pending().is_empty(), "nothing entered the queue");
+    stop(server, &shutdown, pool, &dir);
+}
+
 #[test]
 fn lifecycle_submit_run_result_events_over_http() {
     // Quotas off: the test polls faster than any sane client budget.

@@ -196,3 +196,66 @@ fn concurrent_submit_claim_cancel_loses_nothing() {
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A job claimed for finalizing sits in none of `queue/`, `running/`,
+/// `done/` and `cancelled/`: its spec is parked under `ckpt/` until
+/// the terminal record lands. `GET /v1/jobs/:id` must still find it.
+#[test]
+fn a_job_between_running_and_done_is_found() {
+    let dir = temp_dir("finalize");
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let opts = ServerOptions {
+        quota_rate: 0.0,
+        ..ServerOptions::default()
+    };
+    let server = Server::start(
+        Spool::open(dir.join("spool")).unwrap(),
+        &opts,
+        Arc::clone(&shutdown),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let spool = Spool::open(dir.join("spool")).unwrap();
+    let state = |id: &str| {
+        let resp = get(addr, &format!("/v1/jobs/{id}"));
+        assert_eq!(resp.status, 200, "job {id}: {}", resp.text());
+        let state = resp
+            .json()
+            .get("state")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        state
+    };
+
+    let resp = post(addr, "/v1/jobs", &ota_submit_body("finalize", 1, 100));
+    assert_eq!(resp.status, 201, "submit failed: {}", resp.text());
+    let id = resp.json().get("id").unwrap().as_str().unwrap().to_string();
+    assert_eq!(state(&id), "queued");
+
+    let job = spool.claim_next().expect("the job is queued");
+    assert_eq!(job.id, id);
+    assert_eq!(state(&id), "running");
+
+    assert!(spool.claim_finalize(&id), "finalize claim");
+    assert_eq!(state(&id), "running");
+
+    let record = ObjBuilder::new()
+        .field("format", "oblx-result")
+        .field("version", 1i64)
+        .field("id", id.as_str())
+        .field("name", "finalize")
+        .field("status", "ok")
+        .build();
+    spool.complete(&id, &record).unwrap();
+    assert_eq!(
+        state(&id),
+        "done",
+        "the terminal record wins over the parked spec"
+    );
+
+    shutdown.store(true, Ordering::SeqCst);
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

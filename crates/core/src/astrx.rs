@@ -46,6 +46,25 @@ pub enum CompileError {
         /// What went wrong.
         what: String,
     },
+    /// A device in a jig with analyses has no same-named device of its
+    /// kind in the bias circuit, so nothing supplies its operating
+    /// point.
+    UnbiasedDevice {
+        /// Jig name.
+        jig: String,
+        /// Flattened device name.
+        device: String,
+    },
+    /// An analysis stimulus names an element that is not an
+    /// independent voltage or current source.
+    NotASource {
+        /// Jig name.
+        jig: String,
+        /// Analysis handle.
+        analysis: String,
+        /// The named element.
+        element: String,
+    },
     /// Structural problem in the description.
     Structure(String),
 }
@@ -57,6 +76,17 @@ impl fmt::Display for CompileError {
             CompileError::Model(e) => write!(f, "model: {e}"),
             CompileError::Build(e) => write!(f, "assembly: {e}"),
             CompileError::Goal { goal, what } => write!(f, "goal `{goal}`: {what}"),
+            CompileError::UnbiasedDevice { jig, device } => {
+                write!(f, "jig `{jig}`: device `{device}` has no bias counterpart")
+            }
+            CompileError::NotASource {
+                jig,
+                analysis,
+                element,
+            } => write!(
+                f,
+                "jig `{jig}` analysis `{analysis}`: `{element}` is not a voltage or current source"
+            ),
             CompileError::Structure(s) => write!(f, "{s}"),
         }
     }
@@ -276,11 +306,48 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
                     )));
                 }
             }
-            if !ckt.linear_names.iter().any(|n| n == &a.source) {
+            let Some(el) = ckt.linear_names.iter().position(|n| n == &a.source) else {
                 return Err(CompileError::Structure(format!(
                     "jig `{}` analysis `{}`: unknown source `{}`",
                     jig.name, a.name, a.source
                 )));
+            };
+            if !matches!(
+                ckt.linear[el],
+                oblx_mna::LinElement::Vsource { .. } | oblx_mna::LinElement::Isource { .. }
+            ) {
+                return Err(CompileError::NotASource {
+                    jig: jig.name.clone(),
+                    analysis: a.name.clone(),
+                    element: a.source.clone(),
+                });
+            }
+        }
+        // Jig devices take their operating points from the same-named
+        // bias devices; a jig without analyses is never evaluated.
+        if !jig.analyses.is_empty() {
+            let unbiased = ckt
+                .mosfets
+                .iter()
+                .map(|m| &m.name)
+                .find(|n| !bias_ckt.mosfets.iter().any(|b| &b.name == *n))
+                .or_else(|| {
+                    ckt.bjts
+                        .iter()
+                        .map(|q| &q.name)
+                        .find(|n| !bias_ckt.bjts.iter().any(|b| &b.name == *n))
+                })
+                .or_else(|| {
+                    ckt.diodes
+                        .iter()
+                        .map(|d| &d.name)
+                        .find(|n| !bias_ckt.diodes.iter().any(|b| &b.name == *n))
+                });
+            if let Some(device) = unbiased {
+                return Err(CompileError::UnbiasedDevice {
+                    jig: jig.name.clone(),
+                    device: device.clone(),
+                });
             }
         }
         // The paper's type-A element count is for the *linearized*
@@ -571,6 +638,38 @@ vc2 in- 0 2.5
             compile_source(&src),
             Err(CompileError::Structure(_))
         ));
+    }
+
+    /// A jig device with no same-named bias device has no operating
+    /// point; compile must name it instead of accepting a deck whose
+    /// every evaluation fails.
+    #[test]
+    fn jig_device_without_bias_counterpart_rejected() {
+        let src = DIFFAMP.replace(
+            "cl2 out- 0 1p",
+            "cl2 out- 0 1p\nm9 out+ in+ nvss nvss nmos w=10u l=2u",
+        );
+        let err = compile_source(&src).expect_err("unbiased jig device");
+        assert!(
+            matches!(&err, CompileError::UnbiasedDevice { jig, device }
+                if jig == "acjig" && device == "m9"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`m9`"), "{err}");
+    }
+
+    /// A `.pz` stimulus must be an independent V or I source; naming
+    /// any other element is a compile error that names it.
+    #[test]
+    fn pz_stimulus_must_be_a_source() {
+        let src = DIFFAMP.replace(".pz tf v(out+) vin", ".pz tf v(out+) cl1");
+        let err = compile_source(&src).expect_err("capacitor as stimulus");
+        assert!(
+            matches!(&err, CompileError::NotASource { analysis, element, .. }
+                if analysis == "tf" && element == "cl1"),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("`cl1`"), "{err}");
     }
 
     #[test]

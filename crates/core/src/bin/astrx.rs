@@ -7,9 +7,6 @@
 //!                       [--resume] [--corners] [--yield]
 //! astrx bench <name> [same options]         run a built-in benchmark
 //! astrx list                                list built-in benchmarks
-//! astrx submit (<file.ox>|--bench NAME) --spool DIR
-//!              [--seeds …] [--moves N] [--priority P] [--name NAME]
-//! astrx jobs --spool DIR                    list an oblxd spool
 //! astrx profile [<file.ox>|--bench NAME] [--moves N] [--seed S] [--json]
 //! ```
 //!
@@ -19,8 +16,9 @@
 //!
 //! With `--checkpoint-dir` every per-seed run periodically snapshots
 //! its full annealing state; a later run with `--resume` continues
-//! from those snapshots bit-identically. `submit`/`jobs` are the thin
-//! client of the `oblxd` job runtime (see the `oblx-runtime` crate).
+//! from those snapshots bit-identically. Queued jobs are submitted and
+//! listed through `oblxd submit` / `oblxd status` (the `oblx-runtime`
+//! crate).
 
 use astrx_oblx::jobs;
 use astrx_oblx::oblx::{synthesize_multi, SynthesisOptions};
@@ -37,9 +35,6 @@ const USAGE: &str = "usage:
               [--corners] [--yield]
   astrx bench <name> [same options as synth]
   astrx list
-  astrx submit (<file.ox> | --bench NAME) --spool DIR
-               [--seeds N|a,b,c] [--moves N] [--priority P] [--name NAME]
-  astrx jobs --spool DIR
   astrx profile [<file.ox> | --bench NAME] [--moves N] [--seed S] [--json]
                (default: the Two-Stage benchmark; prints the telemetry
                 report — accept rates, cost terms, AWE/LU health)
@@ -50,8 +45,7 @@ options:
   --checkpoint-interval N    proposals between snapshots (default 2000)
   --resume                   continue from the checkpoints already in
                              --checkpoint-dir; the completed run is
-                             bit-identical to one never interrupted
-  --spool DIR                an oblxd spool directory (see `oblxd run`)";
+                             bit-identical to one never interrupted";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -88,8 +82,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "submit" => cmd_submit(&rest),
-        "jobs" => cmd_jobs(&rest),
         "profile" => cmd_profile(&rest),
         _ => usage(),
     }
@@ -165,152 +157,6 @@ fn parse_seeds(rest: &[&String]) -> Result<Vec<u64>, String> {
         }
         None => Ok(vec![1, 2, 3]),
     }
-}
-
-/// `astrx submit` — the thin client of the `oblxd` runtime: writes a
-/// job file into a spool directory for a daemon to pick up.
-fn cmd_submit(rest: &[&String]) -> ExitCode {
-    let Some(spool) = opt(rest, "--spool") else {
-        eprintln!("error: submit needs --spool DIR");
-        return ExitCode::from(2);
-    };
-    let (source, deck, default_name) = if let Some(name) = opt(rest, "--bench") {
-        let Some(b) = bench_suite::by_name(name) else {
-            eprintln!("error: unknown benchmark `{name}` — try `astrx list`");
-            return ExitCode::FAILURE;
-        };
-        (
-            b.source.to_string(),
-            b.deck.label().to_string(),
-            b.name.to_string(),
-        )
-    } else {
-        let Some(path) = rest.iter().enumerate().find_map(|(i, a)| {
-            let is_opt_value = i > 0 && rest[i - 1].starts_with("--");
-            (!a.starts_with("--") && !is_opt_value).then_some(a.as_str())
-        }) else {
-            eprintln!("error: submit needs a .ox file or --bench NAME");
-            return ExitCode::from(2);
-        };
-        match std::fs::read_to_string(path) {
-            Ok(text) => (text, String::new(), path.to_string()),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let seeds = match parse_seeds(rest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let request = jobs::JobRequest {
-        name: opt(rest, "--name")
-            .map(str::to_string)
-            .unwrap_or(default_name),
-        source,
-        deck,
-        options: SynthesisOptions {
-            moves_budget: opt(rest, "--moves")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(60_000),
-            ..SynthesisOptions::default()
-        },
-        seeds,
-        priority: opt(rest, "--priority")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-    };
-    // Validate before spooling: a malformed deck is the submitter's
-    // error and should be rejected here with line/column diagnostics,
-    // not discovered later by an oblxd worker. Benchmark submissions
-    // carry a process-deck label only the daemon can resolve, so only
-    // plain-file sources are compiled here — which is exactly the
-    // untrusted path.
-    if request.deck.is_empty() {
-        if let Err(e) = astrx_oblx::astrx::compile_source(&request.source) {
-            eprintln!("error: {}: {e}", request.name);
-            return ExitCode::FAILURE;
-        }
-    }
-    match jobs::spool_submit(Path::new(spool), request) {
-        Ok(job) => {
-            println!("{}", job.id);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: submit failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `astrx jobs` — lists a spool's queue, running set, and results.
-fn cmd_jobs(rest: &[&String]) -> ExitCode {
-    let Some(spool) = opt(rest, "--spool") else {
-        eprintln!("error: jobs needs --spool DIR");
-        return ExitCode::from(2);
-    };
-    let spool = Path::new(spool);
-    for (label, dir) in [("queued", "queue"), ("running", "running")] {
-        let mut jobs_in_dir: Vec<jobs::JobFile> = std::fs::read_dir(spool.join(dir))
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter_map(|e| std::fs::read_to_string(e.path()).ok())
-                    .filter_map(|text| jobs::job_from_json(&text).ok())
-                    .collect()
-            })
-            .unwrap_or_default();
-        jobs_in_dir.sort_by(|a, b| {
-            b.request
-                .priority
-                .cmp(&a.request.priority)
-                .then(a.seq.cmp(&b.seq))
-        });
-        for job in jobs_in_dir {
-            println!(
-                "{label:<8} {} ({}): {} seed(s) × {} moves, priority {}",
-                job.id,
-                job.request.name,
-                job.request.seeds.len(),
-                job.request.options.moves_budget,
-                job.request.priority
-            );
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(spool.join("done")) {
-        for entry in entries.flatten() {
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Ok(record) = astrx_oblx::json::parse(&text) else {
-                continue;
-            };
-            let get = |k: &str| {
-                record
-                    .get(k)
-                    .and_then(astrx_oblx::json::Value::as_str)
-                    .unwrap_or("?")
-                    .to_string()
-            };
-            let cost = record
-                .get("fixed_cost")
-                .and_then(|v| jobs::f64_from_value(v).ok())
-                .map(|c| format!(", cost {c:.4}"))
-                .unwrap_or_default();
-            println!(
-                "done     {} ({}): {}{cost}",
-                get("id"),
-                get("name"),
-                get("status")
-            );
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// `astrx profile` — runs one synthesis with telemetry enabled and
@@ -434,21 +280,13 @@ fn cmd_synth(rest: &[&String], benchmark: Option<bench_suite::Benchmark>) -> Exi
     let moves: usize = opt(rest, "--moves")
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let seeds: Vec<u64> = match opt(rest, "--seeds") {
-        Some(s) if !s.contains(',') => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => (1..=n).collect(),
-            _ => {
-                eprintln!("error: --seeds wants a count or a comma list, got `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        Some(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-        None => vec![1, 2, 3],
+    let seeds = match parse_seeds(rest) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
-    if seeds.is_empty() {
-        eprintln!("error: --seeds parsed to an empty list");
-        return ExitCode::from(2);
-    }
     let threads: usize = opt(rest, "--threads")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);

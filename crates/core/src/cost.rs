@@ -201,8 +201,8 @@ impl EvalRecord {
 }
 
 /// The AWE-model / power / area surface that measurement functions
-/// draw from — implemented by the cold path's record-backed context
-/// and the plan path's slot-backed context, so the dispatch table in
+/// draw from — implemented by the reference evaluation's record-backed
+/// context and the plan's slot-backed context, so the dispatch table in
 /// [`measure_call`] exists exactly once.
 pub(crate) trait MeasureSource {
     /// Resolves an analysis handle to its reduced model.
@@ -319,12 +319,10 @@ impl EvalContext for SpecContext<'_> {
 /// synthesis loop reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Full netlist rebuilds (no plan available).
-    pub cold: u64,
-    /// Plan-based full updates (every binding re-applied, everything
-    /// recomputed — but no string work).
+    /// Slot updates that recomputed everything (every binding
+    /// re-applied — but no string work).
     pub full: u64,
-    /// Incremental updates (only dirty bindings/devices/jigs redone).
+    /// Slot updates that redid only dirty bindings/devices/jigs.
     pub incremental: u64,
     /// Exact state matches rescored from a cached slot.
     pub cached: u64,
@@ -333,7 +331,7 @@ pub struct EvalStats {
 impl EvalStats {
     /// Total evaluator calls.
     pub fn total(&self) -> u64 {
-        self.cold + self.full + self.incremental + self.cached
+        self.full + self.incremental + self.cached
     }
 
     /// Fraction of calls that avoided a full recomputation (incremental
@@ -355,7 +353,6 @@ impl std::ops::Sub for EvalStats {
     /// evaluator (`later - earlier`).
     fn sub(self, earlier: EvalStats) -> EvalStats {
         EvalStats {
-            cold: self.cold - earlier.cold,
             full: self.full - earlier.full,
             incremental: self.incremental - earlier.incremental,
             cached: self.cached - earlier.cached,
@@ -374,10 +371,7 @@ impl std::ops::Sub for EvalStats {
 pub struct CostEvaluator<'a> {
     compiled: &'a CompiledProblem,
     awe_order: usize,
-    /// `None` when the problem cannot be planned (e.g. the initial
-    /// assembly fails); evaluation then uses the cold path, which
-    /// reproduces the underlying error per call.
-    plan: Option<EvalPlan>,
+    plan: EvalPlan,
     slots: Vec<Slot>,
     clock: u64,
     stats: EvalStats,
@@ -385,12 +379,22 @@ pub struct CostEvaluator<'a> {
 
 impl<'a> CostEvaluator<'a> {
     /// Wraps a compiled problem.
+    ///
+    /// # Panics
+    ///
+    /// When `compiled` breaks a structural check of
+    /// [`crate::astrx::compile`] (it always holds for the output of
+    /// `compile`).
     pub fn new(compiled: &'a CompiledProblem) -> Self {
         Self::with_awe_order(compiled, AWE_ORDER)
     }
 
     /// Wraps a compiled problem with a non-default AWE model order
     /// (used by the ablation benches).
+    ///
+    /// # Panics
+    ///
+    /// As for [`CostEvaluator::new`].
     pub fn with_awe_order(compiled: &'a CompiledProblem, awe_order: usize) -> Self {
         let awe_order = awe_order.clamp(1, 12);
         CostEvaluator {
@@ -413,13 +417,12 @@ impl<'a> CostEvaluator<'a> {
         self.stats
     }
 
-    /// `true` when a precompiled plan is active (false only for
-    /// problems whose initial configuration cannot be assembled).
-    pub fn has_plan(&self) -> bool {
-        self.plan.is_some()
-    }
-
-    /// Computes the full evaluation record for a configuration.
+    /// Computes the full evaluation record for a configuration by
+    /// rebuilding every circuit from its netlist.
+    ///
+    /// This is the reference evaluation: independent of the plan, it is
+    /// the oracle that debug builds and tests check
+    /// [`CostEvaluator::try_evaluate`] against.
     ///
     /// # Errors
     ///
@@ -572,11 +575,11 @@ impl<'a> CostEvaluator<'a> {
         }
     }
 
-    /// Evaluates the scalar cost, surfacing failures.
-    ///
-    /// Uses the precompiled plan when available; debug builds
-    /// cross-check every plan-path result against a from-scratch
-    /// evaluation.
+    /// Evaluates the scalar cost through the precompiled plan,
+    /// surfacing failures: an exact-match rescore when a slot holds the
+    /// state, otherwise a slot update. Debug builds cross-check every
+    /// result against the reference evaluation
+    /// ([`CostEvaluator::record`]).
     ///
     /// # Errors
     ///
@@ -588,17 +591,9 @@ impl<'a> CostEvaluator<'a> {
         weights: &AdaptiveWeights,
     ) -> Result<CostBreakdown, EvalFailure> {
         let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::CostEval);
-        let result = if self.plan.is_none() {
-            self.stats.cold += 1;
-            oblx_telemetry::incr(oblx_telemetry::Counter::EvalCold);
-            self.record(user_values, node_values)
-                .and_then(|record| self.cost_of_record(&record, weights))
-        } else {
-            let result = self.plan_evaluate(user_values, node_values, weights);
-            #[cfg(debug_assertions)]
-            self.cross_check(user_values, node_values, weights, &result);
-            result
-        };
+        let result = self.plan_evaluate(user_values, node_values, weights);
+        #[cfg(debug_assertions)]
+        self.cross_check(user_values, node_values, weights, &result);
         if oblx_telemetry::enabled() {
             match &result {
                 Ok(b) if !b.failed => {
@@ -610,8 +605,7 @@ impl<'a> CostEvaluator<'a> {
         result
     }
 
-    /// The plan path: exact-match rescore, incremental update, or
-    /// plan-full update — in that order of preference.
+    /// Exact-match rescore, else a slot update.
     fn plan_evaluate(
         &mut self,
         user: &[f64],
@@ -626,7 +620,6 @@ impl<'a> CostEvaluator<'a> {
             stats,
             ..
         } = self;
-        let plan = plan.as_ref().expect("caller checked the plan exists");
         assert_eq!(user.len(), plan.user_len(), "var vector mismatch");
         *clock += 1;
         // Exact state already materialized: rescore it (weights may
@@ -656,20 +649,20 @@ impl<'a> CostEvaluator<'a> {
         };
         let slot = &mut slots[vi];
         slot.stamp = *clock;
-        if slot.can_increment(plan, user, nodes) {
-            stats.incremental += 1;
-            oblx_telemetry::incr(oblx_telemetry::Counter::EvalIncremental);
-            slot.update_incremental(plan, user, nodes)?;
-        } else {
+        let full = slot.needs_full(plan, user, nodes);
+        if full {
             stats.full += 1;
             oblx_telemetry::incr(oblx_telemetry::Counter::EvalFull);
-            slot.update_full(plan, user, nodes)?;
+        } else {
+            stats.incremental += 1;
+            oblx_telemetry::incr(oblx_telemetry::Counter::EvalIncremental);
         }
+        slot.update(plan, user, nodes, full)?;
         score_slot(compiled, plan, slot, weights, user)
     }
 
-    /// Debug-build invariant: the plan path is bit-compatible with a
-    /// from-scratch evaluation (1e-12 relative tolerance per component;
+    /// Debug-build invariant: the plan path is bit-compatible with the
+    /// reference evaluation (1e-12 relative tolerance per component;
     /// in practice the two paths agree exactly).
     #[cfg(debug_assertions)]
     fn cross_check(
@@ -735,7 +728,7 @@ impl<'a> CostEvaluator<'a> {
     }
 }
 
-/// The weighted cost summation shared by the cold path
+/// The weighted cost summation shared by the reference evaluation
 /// ([`CostEvaluator::cost_of_record`]) and the plan path. A single
 /// implementation guarantees both paths add the same terms in the same
 /// order, so their totals agree bit for bit.

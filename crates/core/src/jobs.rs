@@ -1,8 +1,8 @@
 //! Job and checkpoint serialization — the on-disk contract of the
 //! `oblxd` runtime.
 //!
-//! Two file kinds are defined here so that both the service
-//! (`crates/runtime`) and thin clients (`astrx submit`) can speak them:
+//! Two file kinds are defined here so that the service
+//! (`crates/runtime`) and the `astrx` CLI share one format:
 //!
 //! * **Job files** (`format: "oblx-job"`): a synthesis request — name,
 //!   `.ox` source text, [`SynthesisOptions`], seed list, priority.
@@ -682,78 +682,6 @@ pub fn remove_checkpoints(dir: &Path, seed: u64) {
     for fence in checkpoint_fences(dir, seed) {
         let _ = std::fs::remove_file(fenced_checkpoint_path(dir, seed, fence));
     }
-}
-
-// ---------------------------------------------------------------------
-// Spool submission — the client side of the `oblxd` on-disk protocol.
-// The full queue/worker machinery lives in the runtime crate; the
-// submit path is here so thin clients (`astrx submit`) need only the
-// core library.
-
-/// Allocates the next submission sequence number in a spool root,
-/// protected against concurrent submitters by a lock file (stale locks
-/// older than 5 s are broken).
-///
-/// # Errors
-///
-/// Any I/O error, or lock starvation.
-pub fn spool_next_seq(root: &Path) -> std::io::Result<u64> {
-    use std::io;
-    let lock = root.join("seq.lock");
-    let seq_path = root.join("seq");
-    for _ in 0..5000 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock)
-        {
-            Ok(_) => {
-                let next = std::fs::read_to_string(&seq_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .unwrap_or(0)
-                    + 1;
-                let res = write_atomic(&seq_path, &next.to_string());
-                let _ = std::fs::remove_file(&lock);
-                return res.map(|()| next);
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let stale = std::fs::metadata(&lock)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|m| m.elapsed().ok())
-                    .is_some_and(|age| age.as_secs() >= 5);
-                if stale {
-                    let _ = std::fs::remove_file(&lock);
-                } else {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(std::io::Error::other("seq lock busy"))
-}
-
-/// Submits a job into the spool rooted at `root`: assigns the next id
-/// and writes `queue/<id>.json` atomically. Creates the spool
-/// directories as needed — a client can submit before the daemon's
-/// first start.
-///
-/// # Errors
-///
-/// Any I/O error.
-pub fn spool_submit(root: &Path, request: JobRequest) -> std::io::Result<JobFile> {
-    let queue = root.join("queue");
-    std::fs::create_dir_all(&queue)?;
-    let seq = spool_next_seq(root)?;
-    let job = JobFile {
-        id: format!("j{seq:06}"),
-        seq,
-        request,
-    };
-    write_atomic(&queue.join(format!("{}.json", job.id)), &job_to_json(&job))?;
-    Ok(job)
 }
 
 // ---------------------------------------------------------------------

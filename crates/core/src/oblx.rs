@@ -598,12 +598,11 @@ pub fn synthesize_controlled(
     let stats = problem.evaluator.stats();
 
     // Final scoring with the final weights, surfacing any failure.
-    let record = problem
-        .evaluator
-        .record(&result.best_state.user, &result.best_state.nodes)?;
-    let breakdown = problem
-        .evaluator
-        .cost_of_record(&record, &problem.weights)?;
+    let breakdown = problem.evaluator.try_evaluate(
+        &result.best_state.user,
+        &result.best_state.nodes,
+        &problem.weights,
+    )?;
 
     let measured: Vec<(String, f64)> = compiled
         .problem

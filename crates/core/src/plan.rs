@@ -1,10 +1,12 @@
-//! Precompiled evaluation plan: the hot path of [`crate::CostEvaluator`].
+//! Precompiled evaluation plan: the one production path of
+//! [`crate::CostEvaluator`].
 //!
-//! The cold evaluation path ([`crate::CostEvaluator::record`]) rebuilds
-//! every circuit from its netlist on every call: node names are
-//! re-interned, device models re-looked-up, source/probe name maps
-//! reconstructed — all pure string work whose result never changes,
-//! because the annealer only ever changes *values*, never *structure*.
+//! The reference evaluation ([`crate::CostEvaluator::record`], kept as a
+//! test oracle) rebuilds every circuit from its netlist on every call:
+//! node names are re-interned, device models re-looked-up, source/probe
+//! name maps reconstructed — all pure string work whose result never
+//! changes, because the annealer only ever changes *values*, never
+//! *structure*.
 //!
 //! [`EvalPlan`] performs that structural work exactly once, at
 //! [`crate::CostEvaluator`] construction:
@@ -19,25 +21,29 @@
 //! * analysis stimulus vectors and output selectors are resolved to
 //!   index form up front.
 //!
+//! Every structural precondition of the plan is checked by
+//! [`crate::astrx::compile`], so a compiled problem always has a plan.
+//!
 //! A [`Slot`] is one materialized configuration: the bound circuits,
 //! device operating points, KCL residual, and AWE models for a specific
 //! `(user, nodes)` vector pair. The evaluator keeps two slots and diffs
-//! a proposed state against one of them by bitwise comparison, which
-//! enables three progressively cheaper re-evaluation modes: plan-full
-//! (all bindings re-applied, everything recomputed), incremental (only
-//! dirty bindings, devices, and jigs recomputed), and cached rescore
-//! (state seen before; only the weighted sum is recomputed).
+//! a proposed state against one of them by bitwise comparison. A state
+//! seen before is rescored from its slot (only the weighted sum is
+//! recomputed); any other state goes through [`Slot::update`], which
+//! recomputes a dirty set of bindings, devices, and jigs — everything
+//! when nothing in the slot can be reused.
 //!
 //! Invariant: every numeric result produced through a plan is
-//! **bit-identical** to the cold path, because both run the same
-//! expression evaluator, the same clamps, the same stamp order, and the
-//! same AWE entry point. Debug builds verify this on every evaluation.
+//! **bit-identical** to the reference evaluation, because both run the
+//! same expression evaluator, the same clamps, the same device
+//! evaluators, the same stamp order, and the same AWE entry point.
+//! Debug builds verify this on every evaluation.
 
 use crate::astrx::{determined_voltages, CompiledProblem};
 use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::{AweEngine, ReducedModel};
-use oblx_devices::{BjtLanes, BjtOp, DiodeLanes, DiodeOp, MosLanes, MosOp};
+use oblx_devices::{BjtOp, DiodeOp, MosOp};
 use oblx_linalg::Mat;
 use oblx_mna::{LinElement, LinearSystem, OutputSelector, SizedCircuit};
 use oblx_netlist::{ElementKind, EvalContext, EvalError, Expr, Netlist};
@@ -241,7 +247,7 @@ pub(crate) struct EvalPlan {
     /// Per user variable: `true` when it appears in a *linear* bias
     /// element value. Changing such a variable invalidates the
     /// determined-voltage tree and the cached KCL matrix, forcing a
-    /// plan-full update.
+    /// full update.
     bias_linear_var: Vec<bool>,
     /// Free bias-node indices in node-variable order (structural:
     /// independent of element values).
@@ -251,26 +257,24 @@ pub(crate) struct EvalPlan {
     jigs: Vec<JigPlan>,
     bias_template: SizedCircuit,
     awe_order: usize,
-    /// Bias-device indices grouped by model card, for SoA batched
-    /// evaluation: all devices of one group share identical model
-    /// parameters, so one [`oblx_devices::MosModel`] drives the whole
-    /// lane batch and its parameter block is read once per group.
-    mos_groups: Vec<Vec<usize>>,
-    bjt_groups: Vec<Vec<usize>>,
-    diode_groups: Vec<Vec<usize>>,
 }
 
 impl EvalPlan {
-    /// Builds the plan, or `None` when the problem cannot be planned —
-    /// initial assembly fails, a jig device lacks a bias counterpart, a
-    /// probe or stimulus is unknown — in which case the evaluator falls
-    /// back to the cold path, which reproduces the corresponding error
-    /// on every evaluation.
-    pub(crate) fn build(compiled: &CompiledProblem, awe_order: usize) -> Option<EvalPlan> {
+    /// Builds the plan.
+    ///
+    /// # Panics
+    ///
+    /// When `compiled` breaks a structural check of
+    /// [`crate::astrx::compile`]: the circuits must assemble at the
+    /// initial point, every jig device must have a bias counterpart,
+    /// and every analysis must name a known probe node and a V or I
+    /// source.
+    pub(crate) fn build(compiled: &CompiledProblem, awe_order: usize) -> EvalPlan {
         let user_names: Vec<String> = compiled.user_vars.iter().map(|v| v.name.clone()).collect();
         let initial = compiled.initial_user_values();
         let vars = compiled.var_map(&initial);
-        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).ok()?;
+        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib)
+            .expect("compile assembled the bias circuit at the initial point");
         let det = determined_voltages(&bias);
         let free_nodes: Vec<usize> = det
             .iter()
@@ -278,7 +282,7 @@ impl EvalPlan {
             .filter(|(_, d)| d.is_none())
             .map(|(i, _)| i)
             .collect();
-        let bias_bindings = bindings_for(&compiled.bias_netlist, &bias, &user_names)?;
+        let bias_bindings = bindings_for(&compiled.bias_netlist, &bias, &user_names);
         let mut bias_linear_var = vec![false; user_names.len()];
         for b in &bias_bindings {
             if b.target.is_linear() {
@@ -323,38 +327,48 @@ impl EvalPlan {
         let mut jig_sources: Vec<&Netlist> = Vec::new();
         let mut analysis_names = Vec::new();
         for jig in &compiled.jigs {
-            // The cold path skips jigs without analyses entirely; so
-            // does the plan (their elements are never even evaluated).
+            // The reference evaluation skips jigs without analyses
+            // entirely; so does the plan (their elements are never even
+            // evaluated).
             if jig.analyses.is_empty() {
                 continue;
             }
-            let ckt = SizedCircuit::build(&jig.netlist, &vars, &compiled.lib).ok()?;
-            let bindings = bindings_for(&jig.netlist, &ckt, &user_names)?;
-            // `rposition`: with duplicate bias device names the cold
-            // path's name map keeps the last insertion.
+            let ckt = SizedCircuit::build(&jig.netlist, &vars, &compiled.lib)
+                .expect("compile assembled every jig at the initial point");
+            let bindings = bindings_for(&jig.netlist, &ckt, &user_names);
+            // `rposition`: with duplicate bias device names the
+            // reference evaluation's name map keeps the last insertion.
+            const UNBIASED: &str = "compile checks every jig device has a bias counterpart";
             let mos_bind: Vec<usize> = ckt
                 .mosfets
                 .iter()
                 .map(|m| bias.mosfets.iter().rposition(|bm| bm.name == m.name))
-                .collect::<Option<_>>()?;
+                .collect::<Option<_>>()
+                .expect(UNBIASED);
             let bjt_bind: Vec<usize> = ckt
                 .bjts
                 .iter()
                 .map(|q| bias.bjts.iter().rposition(|bq| bq.name == q.name))
-                .collect::<Option<_>>()?;
+                .collect::<Option<_>>()
+                .expect(UNBIASED);
             let diode_bind: Vec<usize> = ckt
                 .diodes
                 .iter()
                 .map(|d| bias.diodes.iter().rposition(|bd| bd.name == d.name))
-                .collect::<Option<_>>()?;
+                .collect::<Option<_>>()
+                .expect(UNBIASED);
             let jm: Vec<MosOp> = mos_bind.iter().map(|&i| mos_ops[i]).collect();
             let jq: Vec<BjtOp> = bjt_bind.iter().map(|&i| bjt_ops[i]).collect();
             let jd: Vec<DiodeOp> = diode_bind.iter().map(|&i| diode_ops[i]).collect();
             let sys = LinearSystem::from_device_ops(&ckt, &jm, &jq, &jd);
             let mut analyses = Vec::new();
             for a in &jig.analyses {
-                let out = sys.output_selector(&a.out_p, a.out_m.as_deref())?;
-                let b = sys.input_vector(&a.source)?;
+                let out = sys
+                    .output_selector(&a.out_p, a.out_m.as_deref())
+                    .expect("compile checks the probe nodes");
+                let b = sys
+                    .input_vector(&a.source)
+                    .expect("compile checks the stimulus is a V or I source");
                 analyses.push(AnalysisPlan {
                     name: a.name.clone(),
                     flat: analysis_names.len(),
@@ -392,11 +406,7 @@ impl EvalPlan {
             }
         }
 
-        let mos_groups = group_by_model(bias.mosfets.iter().map(|m| m.model.name()));
-        let bjt_groups = group_by_model(bias.bjts.iter().map(|q| q.model.name()));
-        let diode_groups = group_by_model(bias.diodes.iter().map(|d| d.model.name()));
-
-        Some(EvalPlan {
+        EvalPlan {
             user_names,
             bias_bindings,
             bias_linear_var,
@@ -405,10 +415,7 @@ impl EvalPlan {
             jigs,
             bias_template: bias,
             awe_order,
-            mos_groups,
-            bjt_groups,
-            diode_groups,
-        })
+        }
     }
 
     /// User-variable count (for the caller's length assertion).
@@ -418,8 +425,8 @@ impl EvalPlan {
 
     /// `true` when every changed user variable (bitwise, `slot_user`
     /// vs. `user`) avoids the linear bias elements — the precondition
-    /// for an incremental update against that slot.
-    pub(crate) fn incremental_ok(&self, slot_user: &[f64], user: &[f64]) -> bool {
+    /// for a partial update against that slot.
+    fn incremental_ok(&self, slot_user: &[f64], user: &[f64]) -> bool {
         slot_user.len() == user.len()
             && slot_user
                 .iter()
@@ -427,25 +434,6 @@ impl EvalPlan {
                 .enumerate()
                 .all(|(i, (a, b))| a.to_bits() == b.to_bits() || !self.bias_linear_var[i])
     }
-}
-
-/// Partitions device indices into groups sharing a model card. Devices
-/// referencing the same `.model` card were built from one library entry
-/// and carry identical parameters, so name equality is parameter
-/// equality. First-appearance order keeps grouping deterministic.
-fn group_by_model<'a>(names: impl Iterator<Item = &'a str>) -> Vec<Vec<usize>> {
-    let mut keys: Vec<&str> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, name) in names.enumerate() {
-        match keys.iter().position(|k| *k == name) {
-            Some(g) => groups[g].push(i),
-            None => {
-                keys.push(name);
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
 }
 
 /// Structural equality of two flattened jig netlists *ignoring ac
@@ -474,69 +462,68 @@ fn same_system(a: &Netlist, b: &Netlist) -> bool {
 /// Walks `netlist` in the exact order of [`SizedCircuit::build`],
 /// emitting a [`Binding`] for every variable-dependent element value.
 /// Constant values are skipped — the skeleton already holds them.
-/// Returns `None` when an expression references a name outside the
-/// user-variable set (cannot happen when the skeleton built, but the
-/// cold path is the safe fallback).
-fn bindings_for(
-    netlist: &Netlist,
-    skeleton: &SizedCircuit,
-    user_names: &[String],
-) -> Option<Vec<Binding>> {
+/// Every name an expression references is a user variable: the
+/// skeleton was assembled from these expressions.
+fn bindings_for(netlist: &Netlist, skeleton: &SizedCircuit, user_names: &[String]) -> Vec<Binding> {
     let mut out = Vec::new();
     let mut li = 0usize; // next linear-element index
     let mut mi = 0usize; // next mosfet index
     let mut bi = 0usize; // next bjt index
     let mut di = 0usize; // next diode index
     for el in &netlist.elements {
-        let mut push = |expr: &Expr, target: BindTarget| -> Option<()> {
+        let mut push = |expr: &Expr, target: BindTarget| {
             let vars = expr.variables();
             if vars.is_empty() {
-                return Some(());
+                return;
             }
             let deps = vars
                 .iter()
-                .map(|v| user_names.iter().rposition(|n| n == v))
-                .collect::<Option<Vec<_>>>()?;
+                .map(|v| {
+                    user_names
+                        .iter()
+                        .rposition(|n| n == v)
+                        .expect("the skeleton assembled, so the variable is declared")
+                })
+                .collect();
             out.push(Binding {
                 element: el.name.clone(),
                 target,
                 expr: expr.clone(),
                 deps,
             });
-            Some(())
         };
         match &el.kind {
             ElementKind::Resistor { value } => {
-                push(value, BindTarget::Resistor(li))?;
+                push(value, BindTarget::Resistor(li));
                 li += 1;
             }
             ElementKind::Capacitor { value } => {
-                push(value, BindTarget::Capacitor(li))?;
+                push(value, BindTarget::Capacitor(li));
                 li += 1;
             }
             ElementKind::Inductor { value } => {
-                push(value, BindTarget::Inductor(li))?;
+                push(value, BindTarget::Inductor(li));
                 li += 1;
             }
             ElementKind::Vsource { dc, .. } => {
-                push(dc, BindTarget::VsourceDc(li))?;
+                push(dc, BindTarget::VsourceDc(li));
                 li += 1;
             }
             ElementKind::Isource { dc, .. } => {
-                push(dc, BindTarget::IsourceDc(li))?;
+                push(dc, BindTarget::IsourceDc(li));
                 li += 1;
             }
             ElementKind::Vcvs { gain, .. } => {
-                push(gain, BindTarget::VcvsGain(li))?;
+                push(gain, BindTarget::VcvsGain(li));
                 li += 1;
             }
             ElementKind::Vccs { gm, .. } => {
-                push(gm, BindTarget::VccsGm(li))?;
+                push(gm, BindTarget::VccsGm(li));
                 li += 1;
             }
             ElementKind::Mosfet { w, l, .. } => {
-                push(w, BindTarget::MosW(mi))?;
-                push(l, BindTarget::MosL(mi))?;
+                push(w, BindTarget::MosW(mi));
+                push(l, BindTarget::MosL(mi));
                 // The device template inserts series resistors among
                 // the linear elements; keep the counter in sync.
                 let (rd, rs) = skeleton.mosfets[mi].model.series_resistance();
@@ -549,19 +536,19 @@ fn bindings_for(
                 mi += 1;
             }
             ElementKind::Bjt { area, .. } => {
-                push(area, BindTarget::BjtArea(bi))?;
+                push(area, BindTarget::BjtArea(bi));
                 if skeleton.bjts[bi].model.params().rb > 0.0 {
                     li += 1;
                 }
                 bi += 1;
             }
             ElementKind::Diode { area, .. } => {
-                push(area, BindTarget::DiodeArea(di))?;
+                push(area, BindTarget::DiodeArea(di));
                 di += 1;
             }
         }
     }
-    Some(out)
+    out
 }
 
 /// One jig materialized in a slot.
@@ -577,129 +564,10 @@ struct JigSlot {
     diode_ops: Vec<DiodeOp>,
 }
 
-/// Reusable gather/scatter buffers for SoA batched device evaluation.
-///
-/// Selected devices of one model group are gathered into contiguous
-/// lanes, evaluated in one [`oblx_devices::MosModel::op_batch`] call
-/// (bit-identical to per-device scalar calls), and scattered back to
-/// the slot's ops arrays through the recorded indices. All buffers keep
-/// their capacity across updates, so the steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-struct BatchWs {
-    mos_lanes: MosLanes,
-    bjt_lanes: BjtLanes,
-    diode_lanes: DiodeLanes,
-    /// Device indices gathered for the current group, parallel to the
-    /// lanes; drives the scatter of batch results.
-    idx: Vec<usize>,
-    mos_out: Vec<MosOp>,
-    bjt_out: Vec<BjtOp>,
-    diode_out: Vec<DiodeOp>,
-}
-
-impl BatchWs {
-    fn eval_mos(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [MosOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.mos_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let m = &bias.mosfets[i];
-                    self.mos_lanes
-                        .push(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.mos_out.clear();
-            bias.mosfets[g[0]]
-                .model
-                .op_batch(&self.mos_lanes, &mut self.mos_out);
-            for (&i, op) in self.idx.iter().zip(&self.mos_out) {
-                ops[i] = *op;
-            }
-        }
-    }
-
-    fn eval_bjt(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [BjtOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.bjt_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let q = &bias.bjts[i];
-                    self.bjt_lanes.push(q.area, volt(q.c), volt(q.b), volt(q.e));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.bjt_out.clear();
-            bias.bjts[g[0]]
-                .model
-                .op_batch(&self.bjt_lanes, &mut self.bjt_out);
-            for (&i, op) in self.idx.iter().zip(&self.bjt_out) {
-                ops[i] = *op;
-            }
-        }
-    }
-
-    fn eval_diode(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [DiodeOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.diode_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let d = &bias.diodes[i];
-                    self.diode_lanes.push(d.area, volt(d.a) - volt(d.k));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.diode_out.clear();
-            bias.diodes[g[0]]
-                .model
-                .op_batch(&self.diode_lanes, &mut self.diode_out);
-            for (&i, op) in self.idx.iter().zip(&self.diode_out) {
-                ops[i] = *op;
-            }
-        }
-    }
-}
-
 /// One materialized configuration: everything derived from a specific
 /// `(user, nodes)` pair. `valid == false` means a previous update
-/// failed partway and nothing here may be reused except as a target
-/// for a plan-full update (which rewrites every bound value).
+/// failed partway and nothing here may be reused; the next update then
+/// recomputes everything (which rewrites every bound value).
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     valid: bool,
@@ -713,13 +581,9 @@ pub(crate) struct Slot {
     mos_ops: Vec<MosOp>,
     bjt_ops: Vec<BjtOp>,
     diode_ops: Vec<DiodeOp>,
-    /// SoA gather/scatter workspace for batched device evaluation
-    /// (reused across updates; see [`oblx_devices::batch`]).
-    batch: BatchWs,
     /// KCL conductance matrix and source vector (stamped with unit
     /// source scale, exactly as [`crate::cost::kcl_residual`]); reused
-    /// across incremental updates because linear values are frozen on
-    /// that path.
+    /// across updates that leave every linear bias value unchanged.
     kcl_g: Mat<f64>,
     kcl_rhs: Vec<f64>,
     residual: Vec<f64>,
@@ -731,19 +595,19 @@ pub(crate) struct Slot {
 
 impl Slot {
     pub(crate) fn new(plan: &EvalPlan) -> Slot {
-        let dim = plan.bias_template.dim();
+        let bias = &plan.bias_template;
+        let dim = bias.dim();
         Slot {
             valid: false,
             stamp: 0,
             user: Vec::new(),
             nodes: Vec::new(),
-            bias: plan.bias_template.clone(),
+            bias: bias.clone(),
             det: Vec::new(),
             x: vec![0.0; dim],
-            mos_ops: Vec::new(),
-            bjt_ops: Vec::new(),
-            diode_ops: Vec::new(),
-            batch: BatchWs::default(),
+            mos_ops: vec![MosOp::default(); bias.mosfets.len()],
+            bjt_ops: vec![BjtOp::default(); bias.bjts.len()],
+            diode_ops: vec![DiodeOp::default(); bias.diodes.len()],
             kcl_g: Mat::zeros(dim, dim),
             kcl_rhs: vec![0.0; dim],
             residual: vec![0.0; dim],
@@ -784,21 +648,51 @@ impl Slot {
                 .all(|(a, b)| a.to_bits() == b.to_bits())
     }
 
-    /// `true` when an incremental update against this slot is legal for
-    /// the proposed state.
-    pub(crate) fn can_increment(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
-        self.valid && self.nodes.len() == nodes.len() && plan.incremental_ok(&self.user, user)
+    /// `true` when an update to the proposed state must recompute
+    /// everything: the slot is invalid, the node count differs, or a
+    /// changed user variable feeds a linear bias element (which moves
+    /// the determined-voltage tree and the KCL matrix).
+    pub(crate) fn needs_full(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
+        !self.valid || self.nodes.len() != nodes.len() || !plan.incremental_ok(&self.user, user)
     }
 
-    /// Re-applies every binding and recomputes everything. Mirrors the
-    /// cold path operation for operation; the only work skipped is the
-    /// structural kind (interning, name maps, model lookup).
-    pub(crate) fn update_full(
+    /// Brings the slot to `(user, nodes)` by recomputing a dirty set:
+    /// the bindings of changed variables, the devices whose geometry or
+    /// terminal voltages changed, and the jigs that read either. `full`
+    /// (= [`Slot::needs_full`] for this proposal) makes everything
+    /// dirty and also rebuilds the determined voltages and restamps
+    /// the KCL matrix. Clean parts keep their values: their inputs are
+    /// bitwise identical to when they were last computed.
+    ///
+    /// The residual is always recomputed in full from the KCL matrix —
+    /// incremental column updates would accumulate floating-point drift
+    /// and break bit-identity with the reference evaluation.
+    pub(crate) fn update(
         &mut self,
         plan: &EvalPlan,
         user: &[f64],
         nodes: &[f64],
+        full: bool,
     ) -> Result<(), EvalFailure> {
+        debug_assert_eq!(full, self.needs_full(plan, user, nodes));
+        let dirty_user: Vec<bool> = if full {
+            vec![true; user.len()]
+        } else {
+            self.user
+                .iter()
+                .zip(user)
+                .map(|(a, b)| a.to_bits() != b.to_bits())
+                .collect()
+        };
+        let dirty_node: Vec<bool> = if full {
+            Vec::new()
+        } else {
+            self.nodes
+                .iter()
+                .zip(nodes)
+                .map(|(a, b)| a.to_bits() != b.to_bits())
+                .collect()
+        };
         self.valid = false;
         self.user.clear();
         self.user.extend_from_slice(user);
@@ -808,100 +702,11 @@ impl Slot {
             names: &plan.user_names,
             values: user,
         };
-        for b in &plan.bias_bindings {
-            b.apply(&mut self.bias, &ctx)?;
-        }
-        self.det = determined_voltages(&self.bias);
-        debug_assert!(
-            self.det
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_none())
-                .map(|(i, _)| i)
-                .eq(plan.free_nodes.iter().copied()),
-            "free-node pattern must be value-independent"
-        );
-        for v in self.x.iter_mut() {
-            *v = 0.0;
-        }
-        let mut free_i = 0usize;
-        for (i, dv) in self.det.iter().enumerate() {
-            match dv {
-                Some(v) => self.x[i] = *v,
-                None => {
-                    self.x[i] = nodes.get(free_i).copied().unwrap_or(0.0);
-                    free_i += 1;
-                }
-            }
-        }
-        self.recompute_all_ops(plan);
-        // KCL linear part: unit source scale, identical stamp order to
-        // `cost::kcl_residual`.
-        let n = self.bias.nodes.len();
-        self.kcl_g.clear();
-        for r in self.kcl_rhs.iter_mut() {
-            *r = 0.0;
-        }
-        for el in &self.bias.linear {
-            el.stamp_dc(&mut self.kcl_g, &mut self.kcl_rhs, n, 1.0);
-        }
-        self.recompute_residual();
-        let Slot {
-            jigs,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            models,
-            ..
-        } = self;
-        for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            for b in &jp.bindings {
-                b.apply(&mut js.ckt, &ctx)?;
-            }
-            js.rerun(jp, mos_ops, bjt_ops, diode_ops, models, plan.awe_order)?;
-        }
-        self.valid = true;
-        Ok(())
-    }
-
-    /// Recomputes only what the bitwise state diff shows to be dirty.
-    ///
-    /// Precondition (checked by [`Slot::can_increment`]): the slot is
-    /// valid and no changed user variable feeds a linear bias element,
-    /// so the determined-voltage tree and the KCL matrix carry over.
-    /// The residual is nonetheless always recomputed in full from the
-    /// cached matrix — incremental column updates would accumulate
-    /// floating-point drift and break bit-identity with the cold path.
-    pub(crate) fn update_incremental(
-        &mut self,
-        plan: &EvalPlan,
-        user: &[f64],
-        nodes: &[f64],
-    ) -> Result<(), EvalFailure> {
-        let dirty_user: Vec<bool> = self
-            .user
-            .iter()
-            .zip(user)
-            .map(|(a, b)| a.to_bits() != b.to_bits())
-            .collect();
-        let dirty_node: Vec<bool> = self
-            .nodes
-            .iter()
-            .zip(nodes)
-            .map(|(a, b)| a.to_bits() != b.to_bits())
-            .collect();
-        self.valid = false;
-        self.user.copy_from_slice(user);
-        self.nodes.copy_from_slice(nodes);
-        let ctx = VarsCtx {
-            names: &plan.user_names,
-            values: user,
-        };
-        // 1. Dirty bias bindings. Only geometry targets can appear here
-        //    (linear targets force a plan-full update).
-        let mut mos_dirty = vec![false; self.bias.mosfets.len()];
-        let mut bjt_dirty = vec![false; self.bias.bjts.len()];
-        let mut diode_dirty = vec![false; self.bias.diodes.len()];
+        // 1. Dirty bias bindings. Linear targets appear only in the
+        //    full case, whose device flags start all set.
+        let mut mos_dirty = vec![full; self.bias.mosfets.len()];
+        let mut bjt_dirty = vec![full; self.bias.bjts.len()];
+        let mut diode_dirty = vec![full; self.bias.diodes.len()];
         for b in &plan.bias_bindings {
             if b.dirty(&dirty_user) {
                 b.apply(&mut self.bias, &ctx)?;
@@ -909,59 +714,90 @@ impl Slot {
                     BindTarget::MosW(i) | BindTarget::MosL(i) => mos_dirty[i] = true,
                     BindTarget::BjtArea(i) => bjt_dirty[i] = true,
                     BindTarget::DiodeArea(i) => diode_dirty[i] = true,
-                    _ => unreachable!("linear bias binding on the incremental path"),
+                    _ => debug_assert!(full, "linear bias binding outside a full update"),
                 }
             }
         }
-        // 2. Dirty free-node voltages.
-        let mut node_changed = vec![false; self.bias.nodes.len()];
-        for (k, &ni) in plan.free_nodes.iter().enumerate() {
-            if k < dirty_node.len() && dirty_node[k] {
-                self.x[ni] = nodes[k];
-                node_changed[ni] = true;
+        // 2. Bias node voltages: the whole vector in the full case,
+        //    otherwise the changed free nodes plus the devices on them.
+        if full {
+            self.det = determined_voltages(&self.bias);
+            debug_assert!(
+                self.det
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.is_none())
+                    .map(|(i, _)| i)
+                    .eq(plan.free_nodes.iter().copied()),
+                "free-node pattern must be value-independent"
+            );
+            for v in self.x.iter_mut() {
+                *v = 0.0;
             }
-        }
-        // 3. Re-evaluate devices whose geometry or terminal voltages
-        //    changed; operating points are pure functions of both.
-        //    Two passes: flag the dirty set, then batch-evaluate it per
-        //    model group through the SoA lanes (bit-identical to the
-        //    scalar calls this replaced).
-        {
-            let Slot {
-                bias,
-                x,
-                mos_ops,
-                bjt_ops,
-                diode_ops,
-                batch,
-                ..
-            } = &mut *self;
-            let x: &[f64] = x;
+            let mut free_i = 0usize;
+            for (i, dv) in self.det.iter().enumerate() {
+                match dv {
+                    Some(v) => self.x[i] = *v,
+                    None => {
+                        self.x[i] = nodes.get(free_i).copied().unwrap_or(0.0);
+                        free_i += 1;
+                    }
+                }
+            }
+        } else {
+            let mut node_changed = vec![false; self.bias.nodes.len()];
+            for (k, &ni) in plan.free_nodes.iter().enumerate() {
+                if k < dirty_node.len() && dirty_node[k] {
+                    self.x[ni] = nodes[k];
+                    node_changed[ni] = true;
+                }
+            }
             let moved = |n: Option<usize>| n.is_some_and(|i| node_changed[i]);
-            for (i, m) in bias.mosfets.iter().enumerate() {
-                if moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b) {
-                    mos_dirty[i] = true;
-                }
+            for (i, m) in self.bias.mosfets.iter().enumerate() {
+                mos_dirty[i] |= moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b);
             }
-            for (i, q) in bias.bjts.iter().enumerate() {
-                if moved(q.c) || moved(q.b) || moved(q.e) {
-                    bjt_dirty[i] = true;
-                }
+            for (i, q) in self.bias.bjts.iter().enumerate() {
+                bjt_dirty[i] |= moved(q.c) || moved(q.b) || moved(q.e);
             }
-            for (i, d) in bias.diodes.iter().enumerate() {
-                if moved(d.a) || moved(d.k) {
-                    diode_dirty[i] = true;
-                }
+            for (i, d) in self.bias.diodes.iter().enumerate() {
+                diode_dirty[i] |= moved(d.a) || moved(d.k);
             }
-            batch.eval_mos(bias, x, &plan.mos_groups, mos_ops, |i| mos_dirty[i]);
-            batch.eval_bjt(bias, x, &plan.bjt_groups, bjt_ops, |i| bjt_dirty[i]);
-            batch.eval_diode(bias, x, &plan.diode_groups, diode_ops, |i| diode_dirty[i]);
         }
-        // 4. Residual: full recompute from the cached linear stamps.
+        // 3. Re-evaluate dirty devices; operating points are pure
+        //    functions of geometry and terminal voltages.
+        let volt = |n: Option<usize>| n.map_or(0.0, |i| self.x[i]);
+        for (i, m) in self.bias.mosfets.iter().enumerate() {
+            if mos_dirty[i] {
+                self.mos_ops[i] = m
+                    .model
+                    .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
+            }
+        }
+        for (i, q) in self.bias.bjts.iter().enumerate() {
+            if bjt_dirty[i] {
+                self.bjt_ops[i] = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
+            }
+        }
+        for (i, d) in self.bias.diodes.iter().enumerate() {
+            if diode_dirty[i] {
+                self.diode_ops[i] = d.model.op(d.area, volt(d.a) - volt(d.k));
+            }
+        }
+        // 4. Residual, after restamping the KCL linear part (unit
+        //    source scale, identical stamp order to
+        //    `cost::kcl_residual`) when linear values may have moved.
+        if full {
+            let n = self.bias.nodes.len();
+            self.kcl_g.clear();
+            for r in self.kcl_rhs.iter_mut() {
+                *r = 0.0;
+            }
+            for el in &self.bias.linear {
+                el.stamp_dc(&mut self.kcl_g, &mut self.kcl_rhs, n, 1.0);
+            }
+        }
         self.recompute_residual();
         // 5. Jigs intersecting the dirty set: rebind, restamp, re-AWE.
-        //    A clean jig's models are untouched — its inputs are
-        //    bitwise identical to when they were last computed.
         let Slot {
             jigs,
             mos_ops,
@@ -971,7 +807,7 @@ impl Slot {
             ..
         } = self;
         for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            if !jp.dirty(&dirty_user, &mos_dirty, &bjt_dirty, &diode_dirty) {
+            if !full && !jp.dirty(&dirty_user, &mos_dirty, &bjt_dirty, &diode_dirty) {
                 continue;
             }
             for b in &jp.bindings {
@@ -983,30 +819,6 @@ impl Slot {
         }
         self.valid = true;
         Ok(())
-    }
-
-    /// Recomputes every device operating point (plan-full path) through
-    /// the SoA batch evaluators, one batch per model group.
-    fn recompute_all_ops(&mut self, plan: &EvalPlan) {
-        let Slot {
-            bias,
-            x,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            batch,
-            ..
-        } = self;
-        let x: &[f64] = x;
-        mos_ops.clear();
-        mos_ops.resize(bias.mosfets.len(), MosOp::default());
-        bjt_ops.clear();
-        bjt_ops.resize(bias.bjts.len(), BjtOp::default());
-        diode_ops.clear();
-        diode_ops.resize(bias.diodes.len(), DiodeOp::default());
-        batch.eval_mos(bias, x, &plan.mos_groups, mos_ops, |_| true);
-        batch.eval_bjt(bias, x, &plan.bjt_groups, bjt_ops, |_| true);
-        batch.eval_diode(bias, x, &plan.diode_groups, diode_ops, |_| true);
     }
 
     /// `f = G·x − rhs + device currents`, identical arithmetic and
@@ -1069,8 +881,9 @@ impl JigSlot {
         // Sparse engines re-stamp element values straight into the
         // engine's slot arrays — no dense matrix is touched on the hot
         // path. (Slot replay is bit-identical to dense stamping, so the
-        // cold path, which gathers from its dense restamp, factors the
-        // same numbers.) Dense engines keep the dense restamp.
+        // reference evaluation, which gathers from its dense restamp,
+        // factors the same numbers.) Dense engines keep the dense
+        // restamp.
         if let Some((map, g_vals, c_vals)) = self.engine.sparse_parts_mut() {
             map.stamp(
                 &self.ckt,
@@ -1104,9 +917,9 @@ impl JigSlot {
 }
 
 /// Expression-evaluation context over a slot: the plan-path counterpart
-/// of the cold path's record-backed context, with all name resolution
-/// done by linear scans over precompiled tables instead of freshly
-/// built hash maps.
+/// of the reference evaluation's record-backed context, with all name
+/// resolution done by linear scans over precompiled tables instead of
+/// freshly built hash maps.
 struct PlanCtx<'a> {
     user_names: &'a [String],
     user: &'a [f64],
@@ -1154,7 +967,7 @@ impl EvalContext for PlanCtx<'_> {
             let segs = &path[..path.len() - 1];
             let quantity = &path[path.len() - 1];
             // Same resolution order and first-match semantics as the
-            // cold path's by-name lookup.
+            // reference evaluation's by-name lookup.
             let q = if let Some(i) = self
                 .bias
                 .mosfets
@@ -1233,7 +1046,7 @@ mod tests {
     fn two_stage_supply_jigs_share_one_system() {
         let b = bench_suite::by_name("Two-Stage").expect("Two-Stage exists");
         let compiled = compile(b.problem().expect("parses")).expect("compiles");
-        let plan = EvalPlan::build(&compiled, AWE_ORDER).expect("plannable");
+        let plan = EvalPlan::build(&compiled, AWE_ORDER);
         assert_eq!(plan.analysis_names.len(), 3, "three analyses expected");
         assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
         assert_eq!(plan.jigs[0].analyses.len(), 3);
@@ -1253,7 +1066,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let plan = EvalPlan::build(&ota, AWE_ORDER).expect("plannable");
+        let plan = EvalPlan::build(&ota, AWE_ORDER);
         assert!(
             plan.jigs.iter().all(|j| !j.engine_template.is_sparse()),
             "Simple OTA must stay dense"
@@ -1265,7 +1078,7 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        let plan = EvalPlan::build(&ts, AWE_ORDER).expect("plannable");
+        let plan = EvalPlan::build(&ts, AWE_ORDER);
         assert!(
             plan.jigs.iter().all(|j| j.engine_template.is_sparse()),
             "Two-Stage must use the sparse engine"

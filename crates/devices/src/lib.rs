@@ -22,7 +22,6 @@
 //! [`process`] ships representative 2µ / 1.2µ CMOS and BiCMOS parameter
 //! decks standing in for the proprietary foundry decks of the paper.
 
-pub mod batch;
 mod bjt;
 mod caps;
 mod diode;
@@ -31,7 +30,6 @@ mod mos;
 mod mos_iv;
 pub mod process;
 
-pub use batch::{BjtLanes, DiodeLanes, MosLanes};
 pub use bjt::{BjtModel, BjtOp, BjtParams};
 pub use diode::{DiodeModel, DiodeOp, DiodeParams};
 pub use library::{DeviceModel, ModelError, ModelLibrary};

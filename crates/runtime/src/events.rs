@@ -168,8 +168,7 @@ pub fn render_metrics(data: &Value) -> String {
     }
     let _ = writeln!(
         out,
-        "eval paths: {} cold / {} full / {} incremental / {} cached / {} failed",
-        counter("eval_cold"),
+        "eval paths: {} full / {} incremental / {} cached / {} failed",
         counter("eval_full"),
         counter("eval_incremental"),
         counter("eval_cached"),

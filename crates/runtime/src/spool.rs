@@ -243,15 +243,67 @@ impl Spool {
         out
     }
 
-    /// Submits a job: assigns an id and sequence number and writes it
-    /// into `queue/` atomically (via [`jobs::spool_submit`], the same
-    /// protocol thin clients use). Returns the stored [`JobFile`].
+    /// Submits a job: assigns the next id and sequence number and
+    /// writes it into `queue/` atomically. Creates the queue directory
+    /// as needed. Returns the stored [`JobFile`].
     ///
     /// # Errors
     ///
     /// Any I/O error.
     pub fn submit(&self, request: JobRequest) -> io::Result<JobFile> {
-        jobs::spool_submit(&self.root, request)
+        let queue = self.queue_dir();
+        std::fs::create_dir_all(&queue)?;
+        let seq = self.next_seq()?;
+        let job = JobFile {
+            id: format!("j{seq:06}"),
+            seq,
+            request,
+        };
+        jobs::write_atomic(
+            &queue.join(format!("{}.json", job.id)),
+            &jobs::job_to_json(&job),
+        )?;
+        Ok(job)
+    }
+
+    /// Allocates the next submission sequence number, protected against
+    /// concurrent submitters by a lock file (stale locks older than 5 s
+    /// are broken).
+    fn next_seq(&self) -> io::Result<u64> {
+        let lock = self.root.join("seq.lock");
+        let seq_path = self.root.join("seq");
+        for _ in 0..5000 {
+            match std::fs::OpenOptions::new()
+                .write(true)
+                .create_new(true)
+                .open(&lock)
+            {
+                Ok(_) => {
+                    let next = std::fs::read_to_string(&seq_path)
+                        .ok()
+                        .and_then(|s| s.trim().parse::<u64>().ok())
+                        .unwrap_or(0)
+                        + 1;
+                    let res = jobs::write_atomic(&seq_path, &next.to_string());
+                    let _ = std::fs::remove_file(&lock);
+                    return res.map(|()| next);
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    let stale = std::fs::metadata(&lock)
+                        .and_then(|m| m.modified())
+                        .ok()
+                        .and_then(|m| m.elapsed().ok())
+                        .is_some_and(|age| age.as_secs() >= 5);
+                    if stale {
+                        let _ = std::fs::remove_file(&lock);
+                    } else {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(io::Error::other("seq lock busy"))
     }
 
     fn read_jobs(dir: &Path) -> Vec<JobFile> {

@@ -94,11 +94,9 @@ pub enum Counter {
     LuFactor,
     /// LU factorizations whose pivot ratio exceeded [`PIVOT_RATIO_WARN`].
     LuIllConditioned,
-    /// Cost evaluations on the cold (non-plan) path.
-    EvalCold,
-    /// Plan evaluations that rebuilt every jig.
+    /// Cost evaluations whose slot update recomputed everything.
     EvalFull,
-    /// Plan evaluations that reran only dirty jigs.
+    /// Cost evaluations whose slot update redid only the dirty set.
     EvalIncremental,
     /// Plan evaluations served entirely from slot caches.
     EvalCached,
@@ -159,7 +157,6 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "awe_shift_rejected",
     "lu_factor",
     "lu_ill_conditioned",
-    "eval_cold",
     "eval_full",
     "eval_incremental",
     "eval_cached",
@@ -191,7 +188,7 @@ static COUNTERS: [AtomicU64; Counter::Count as usize] = [ZERO; Counter::Count as
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum SpanKind {
-    /// One full cost evaluation (plan or cold path).
+    /// One cost evaluation.
     CostEval,
     /// One AWE transfer-function analysis.
     AweAnalyze,
@@ -747,8 +744,7 @@ impl Snapshot {
         }
         let _ = writeln!(
             out,
-            "eval paths: {} cold / {} full / {} incremental / {} cached / {} failed",
-            self.counter("eval_cold"),
+            "eval paths: {} full / {} incremental / {} cached / {} failed",
             self.counter("eval_full"),
             self.counter("eval_incremental"),
             self.counter("eval_cached"),
