@@ -24,6 +24,15 @@
 //! 4. adaptive order: start at the requested `q` and shrink until the
 //!    model reproduces its own moments.
 //!
+//! Every analysis runs on one engine, [`AweEngine`]: a sparse LU whose
+//! symbolic factorization (pivot order, fill-in) is computed once per
+//! circuit structure, followed by a numeric refactor per set of element
+//! values. The evaluation plan keeps one engine per jig for the whole
+//! annealing run; [`analyze`] builds a fresh one per call and serves as
+//! the reference. A `G` that cannot be factored — a structurally
+//! singular pattern or a zero pivot on the fixed pivot order — is
+//! reported as [`AweError::SingularG`].
+//!
 //! The resulting [`ReducedModel`] answers the measurement requests that
 //! specifications reference: `dc_gain`, `ugf`, `phase_margin`,
 //! `gain_at`, poles and zeros.
@@ -64,7 +73,4 @@ pub mod moments;
 
 pub use measure::{gain_at, phase_margin, unity_gain_frequency};
 pub use model::{AweError, ReducedModel};
-pub use moments::{
-    analyze, analyze_batch, analyze_batch_with, analyze_shifted, analyze_with, moments,
-    moments_with, AweEngine, Moments, SPARSE_DIM_MIN,
-};
+pub use moments::{analyze, analyze_batch, analyze_batch_with, analyze_with, AweEngine};

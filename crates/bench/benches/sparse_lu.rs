@@ -1,10 +1,12 @@
-//! Sparse vs dense LU on the Two-Stage jig system: the primitive costs
-//! behind the plan's incremental evaluation path.
+//! Sparse vs dense LU on two benchmark jig systems — Simple OTA (dim
+//! 24) and Two-Stage (dim 29) — the primitive costs behind every AWE
+//! analysis, which runs on the sparse engine for every jig.
 //!
-//! Measures, on the same `(G, b)` the synthesis hot path factors:
+//! Measures, per system, on the same `(G, b)` the synthesis hot path
+//! factors:
 //!
-//! * `dense_factor` — `Lu::factor` including the `G` clone the cold
-//!   path pays per evaluation;
+//! * `dense_factor` — `Lu::factor` including the `G` clone, the
+//!   reference cost of a dense factorization;
 //! * `sparse_symbolic` — Markowitz ordering + fill-in computation (paid
 //!   once per plan compile, never per move);
 //! * `sparse_refactor` — numeric-only refactorization on the fixed
@@ -13,12 +15,13 @@
 //!   solves of one AWE moment chain.
 //!
 //! The final line prints a machine-greppable verdict for the CI smoke
-//! job (`SPARSE_LU_OK …` / `SPARSE_LU_FAIL …`). The gates are
-//! *within-run ratios* — sparse refactor vs dense factor, sparse vs
-//! dense solve chain — so they hold across machines of different
-//! absolute speed. Thresholds carry ≥25% headroom over the recorded
-//! ratios in BENCH_eval.json; crossing one means the sparse path
-//! regressed structurally, not that the VM had a slow day.
+//! job (`SPARSE_LU_OK …` / `SPARSE_LU_FAIL …`): OK only when all four
+//! gates pass. The gates are *within-run ratios* — sparse refactor vs
+//! dense factor, sparse vs dense solve chain, per system — so they hold
+//! across machines of different absolute speed. Thresholds carry ≥25%
+//! headroom over the recorded ratios in BENCH_eval.json; crossing one
+//! means the sparse path regressed structurally, not that the VM had a
+//! slow day.
 //!
 //! Set `OBLX_BENCH_QUICK=1` to cut sample counts (CI smoke mode).
 
@@ -31,8 +34,13 @@ const MAX_REFACTOR_RATIO: f64 = 0.625;
 /// Sparse transpose solves must not fall behind dense; recorded ≈ 0.40.
 const MAX_SOLVE_RATIO: f64 = 1.0;
 
-fn bench(c: &mut Criterion) {
-    let b = astrx_oblx::bench_suite::by_name("Two-Stage").expect("Two-Stage benchmark exists");
+/// The gated systems: benchmark name and the tag of its bench ids.
+const SYSTEMS: [(&str, &str); 2] = [("Simple OTA", "dim24"), ("Two-Stage", "dim29")];
+
+/// Benchmarks one jig system under `sparse_lu/<tag>/…` and returns its
+/// `(refactor_ratio, solve_ratio)`.
+fn bench_system(c: &mut Criterion, name: &str, tag: &str, quick: bool) -> (f64, f64) {
+    let b = astrx_oblx::bench_suite::by_name(name).expect("benchmark exists");
     let compiled = oblx_bench::compiled(&b);
     let (sys, src, _out) = oblx_bench::first_jig_system(&compiled);
     let bvec = sys.input_vector(&src).expect("stimulus resolves");
@@ -43,8 +51,7 @@ fn bench(c: &mut Criterion) {
 
     // Cross-check before timing anything: the two factorizations must
     // agree on this system (they use different pivot orders, so exact
-    // bit-identity is not expected here — the plan gets bit-identity by
-    // never mixing engines on one circuit).
+    // bit-identity is not expected here).
     {
         let lu = Lu::factor(sys.g.clone()).expect("dense factors");
         let slu = SparseLu::symbolic(map.dim(), map.entries())
@@ -57,13 +64,13 @@ fn bench(c: &mut Criterion) {
         for (a, b) in xd.iter().zip(&xs) {
             assert!(
                 (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "sparse and dense transpose solves disagree: {a} vs {b}"
+                "{name}: sparse and dense transpose solves disagree: {a} vs {b}"
             );
         }
     }
 
-    let quick = std::env::var_os("OBLX_BENCH_QUICK").is_some();
-    let mut g = c.benchmark_group("sparse_lu");
+    let group = format!("sparse_lu/{tag}");
+    let mut g = c.benchmark_group(group.clone());
     if quick {
         g.sample_size(5);
     }
@@ -109,7 +116,7 @@ fn bench(c: &mut Criterion) {
             })
         });
         println!(
-            "  system dim {}, nnz {} -> fill {}",
+            "  {name}: system dim {}, nnz {} -> fill {}",
             map.dim(),
             slu.nnz(),
             slu.fill_nnz()
@@ -117,25 +124,36 @@ fn bench(c: &mut Criterion) {
     }
     g.finish();
 
-    let median = |name: &str| {
+    let median = |bench: &str| {
         c.results()
             .iter()
-            .find(|(n, _)| n == &format!("sparse_lu/{name}"))
+            .find(|(n, _)| n == &format!("{group}/{bench}"))
             .map(|(_, t)| *t)
             .expect("bench ran")
     };
     let refactor_ratio = median("sparse_refactor") / median("dense_factor");
     let solve_ratio = median("sparse_solve_t16") / median("dense_solve_t16");
     println!(
-        "\nsparse_refactor/dense_factor = {refactor_ratio:.3} (gate < {MAX_REFACTOR_RATIO}), \
-         sparse/dense solve_t16 = {solve_ratio:.3} (gate < {MAX_SOLVE_RATIO})"
+        "{name} ({tag}): sparse_refactor/dense_factor = {refactor_ratio:.3} \
+         (gate < {MAX_REFACTOR_RATIO}), sparse/dense solve_t16 = {solve_ratio:.3} \
+         (gate < {MAX_SOLVE_RATIO})\n"
     );
-    let verdict = if refactor_ratio < MAX_REFACTOR_RATIO && solve_ratio < MAX_SOLVE_RATIO {
-        "SPARSE_LU_OK"
-    } else {
-        "SPARSE_LU_FAIL"
-    };
-    println!("{verdict} refactor_ratio={refactor_ratio:.3} solve_ratio={solve_ratio:.3}");
+    (refactor_ratio, solve_ratio)
+}
+
+fn bench(c: &mut Criterion) {
+    let quick = std::env::var_os("OBLX_BENCH_QUICK").is_some();
+    let mut ok = true;
+    let mut ratios = Vec::new();
+    for (name, tag) in SYSTEMS {
+        let (refactor_ratio, solve_ratio) = bench_system(c, name, tag, quick);
+        ok &= refactor_ratio < MAX_REFACTOR_RATIO && solve_ratio < MAX_SOLVE_RATIO;
+        ratios.push(format!(
+            "{tag}_refactor_ratio={refactor_ratio:.3} {tag}_solve_ratio={solve_ratio:.3}"
+        ));
+    }
+    let verdict = if ok { "SPARSE_LU_OK" } else { "SPARSE_LU_FAIL" };
+    println!("{verdict} {}", ratios.join(" "));
 }
 
 criterion_group!(benches, bench);

@@ -1,7 +1,7 @@
 //! Throwaway stage profiler for the incremental eval hot path.
 
 use astrx_oblx::bench_suite;
-use oblx_awe::analyze_batch;
+use oblx_awe::{analyze_batch, analyze_with};
 use oblx_linalg::Lu;
 use std::hint::black_box;
 use std::time::Instant;
@@ -93,23 +93,12 @@ fn main() {
     // Engine-reuse path: symbolic amortized, as the eval plan runs it.
     let mut engine = oblx_awe::AweEngine::for_system(&sys);
     engine.load(&sys);
-    println!("engine sparse     {}", engine.is_sparse());
     let t = Instant::now();
     for _ in 0..n {
-        black_box(oblx_awe::analyze_batch_with(&mut engine, &sys, &jobs, 8).unwrap());
+        black_box(oblx_awe::analyze_batch_with(&mut engine, &jobs, 8).unwrap());
     }
     println!(
         "batch_with x3     {:8.2} us  (plan path: refactor+solves+fits)",
-        t.elapsed().as_secs_f64() * 1e6 / n as f64
-    );
-
-    // Moments only (no fit): isolates the solve chain.
-    let t = Instant::now();
-    for _ in 0..n {
-        black_box(oblx_awe::moments_with(&sys, &bvec, out, 16).unwrap());
-    }
-    println!(
-        "moments_with q16  {:8.2} us",
         t.elapsed().as_secs_f64() * 1e6 / n as f64
     );
 
@@ -126,11 +115,14 @@ fn main() {
         snap.counter("awe_shift_rejected")
     );
 
-    // fit_model timing on the real moment sequence.
-    let mm = oblx_awe::moments_with(&sys, &bvec, out, 16).unwrap();
+    // fit_model timing on the moment sequence of the fitted model.
+    let mu = analyze_with(&sys, &bvec, out, 8)
+        .unwrap()
+        .moments()
+        .to_vec();
     let t = Instant::now();
     for _ in 0..n {
-        black_box(oblx_awe::moments::fit_model(&mm.mu, 8).unwrap());
+        black_box(oblx_awe::moments::fit_model(&mu, 8).unwrap());
     }
     println!(
         "fit_model q8      {:8.2} us",
@@ -140,7 +132,7 @@ fn main() {
     // fit + first (uncached) ugf scan, as the shift gate pays per job.
     let t = Instant::now();
     for _ in 0..n {
-        let m = oblx_awe::moments::fit_model(&mm.mu, 8).unwrap();
+        let m = oblx_awe::moments::fit_model(&mu, 8).unwrap();
         black_box(oblx_awe::unity_gain_frequency(&m));
     }
     println!(
@@ -267,11 +259,10 @@ fn score_breakdown() {
         }
     }
 
-    // Fit internals on the real moment sequence.
-    let mm = oblx_awe::moments_with(&sys, &bvec, out, 16).unwrap();
+    // Fit internals on the moment sequence of the fitted model.
     oblx_telemetry::reset();
     oblx_telemetry::set_enabled(true);
-    black_box(oblx_awe::moments::fit_model(&mm.mu, 8).unwrap());
+    black_box(oblx_awe::moments::fit_model(m0.moments(), 8).unwrap());
     let snap = oblx_telemetry::Snapshot::capture();
     oblx_telemetry::set_enabled(false);
     let orders: Vec<String> = snap

@@ -36,8 +36,11 @@
 //! Invariant: every numeric result produced through a plan is
 //! **bit-identical** to the reference evaluation, because both run the
 //! same expression evaluator, the same clamps, the same device
-//! evaluators, the same stamp order, and the same AWE entry point.
-//! Debug builds verify this on every evaluation.
+//! evaluators and the same stamp order, and both analyze on the one
+//! sparse AWE engine: the plan's engines stamp element values straight
+//! into their slot arrays, the reference gathers the same values from
+//! a dense stamp, and a fresh engine derives the same pivot order from
+//! the same pattern. Debug builds verify this on every evaluation.
 
 use crate::astrx::{determined_voltages, CompiledProblem};
 use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
@@ -214,10 +217,9 @@ struct JigPlan {
     diode_bind: Vec<usize>,
     analyses: Vec<AnalysisPlan>,
     ckt_template: SizedCircuit,
-    sys_template: LinearSystem,
-    /// Analysis-engine template: dense for small jigs, otherwise the
-    /// sparse engine with its **symbolic factorization already done** —
-    /// slots clone it, so per move only a numeric refactor runs.
+    /// Analysis-engine template with its **symbolic factorization
+    /// already done** — slots clone it, so per move only a numeric
+    /// refactor runs.
     engine_template: AweEngine,
 }
 
@@ -294,7 +296,7 @@ impl EvalPlan {
 
         // Template device operating points at the determined voltages
         // (free nodes at 0 V). Only the *structure* of the template
-        // systems matters — every value is overwritten by `restamp`
+        // systems matters — every slot re-stamps its engine's values
         // before use.
         let mut x = vec![0.0; bias.dim()];
         for (i, dv) in det.iter().enumerate() {
@@ -400,7 +402,6 @@ impl EvalPlan {
                     diode_bind,
                     analyses,
                     ckt_template: ckt,
-                    sys_template: sys,
                     engine_template,
                 });
             }
@@ -555,7 +556,6 @@ fn bindings_for(netlist: &Netlist, skeleton: &SizedCircuit, user_names: &[String
 #[derive(Debug, Clone)]
 struct JigSlot {
     ckt: SizedCircuit,
-    sys: LinearSystem,
     /// Cloned from the plan's template: symbolic structure shared, value
     /// arrays private to this slot.
     engine: AweEngine,
@@ -616,7 +616,6 @@ impl Slot {
                 .iter()
                 .map(|j| JigSlot {
                     ckt: j.ckt_template.clone(),
-                    sys: j.sys_template.clone(),
                     engine: j.engine_template.clone(),
                     mos_ops: Vec::new(),
                     bjt_ops: Vec::new(),
@@ -878,25 +877,20 @@ impl JigSlot {
         self.diode_ops.clear();
         self.diode_ops
             .extend(jp.diode_bind.iter().map(|&i| diode_ops[i]));
-        // Sparse engines re-stamp element values straight into the
-        // engine's slot arrays — no dense matrix is touched on the hot
-        // path. (Slot replay is bit-identical to dense stamping, so the
-        // reference evaluation, which gathers from its dense restamp,
-        // factors the same numbers.) Dense engines keep the dense
-        // restamp.
-        if let Some((map, g_vals, c_vals)) = self.engine.sparse_parts_mut() {
-            map.stamp(
-                &self.ckt,
-                &self.mos_ops,
-                &self.bjt_ops,
-                &self.diode_ops,
-                g_vals,
-                c_vals,
-            );
-        } else {
-            self.sys
-                .restamp(&self.ckt, &self.mos_ops, &self.bjt_ops, &self.diode_ops);
-        }
+        // Element values are re-stamped straight into the engine's slot
+        // arrays — no dense matrix is touched on the hot path. (Slot
+        // replay is bit-identical to dense stamping, so the reference
+        // evaluation, which gathers from its dense stamp, factors the
+        // same numbers.)
+        let (map, g_vals, c_vals) = self.engine.sparse_parts_mut();
+        map.stamp(
+            &self.ckt,
+            &self.mos_ops,
+            &self.bjt_ops,
+            &self.diode_ops,
+            g_vals,
+            c_vals,
+        );
         // One factorization serves every analysis of the jig; each
         // fitted model is bit-identical to a standalone `analyze_with`.
         let jobs: Vec<(&[f64], OutputSelector)> = jp
@@ -904,7 +898,7 @@ impl JigSlot {
             .iter()
             .map(|a| (a.b.as_slice(), a.out))
             .collect();
-        match oblx_awe::analyze_batch_with(&mut self.engine, &self.sys, &jobs, awe_order) {
+        match oblx_awe::analyze_batch_with(&mut self.engine, &jobs, awe_order) {
             Ok(fitted) => {
                 for (a, model) in jp.analyses.iter().zip(fitted) {
                     models[a.flat] = Some(model);
@@ -1050,38 +1044,5 @@ mod tests {
         assert_eq!(plan.analysis_names.len(), 3, "three analyses expected");
         assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
         assert_eq!(plan.jigs[0].analyses.len(), 3);
-    }
-
-    /// Engine crossover: the Simple OTA jig (dim 24) must stay on the
-    /// dense path — its synthesis results are bit-identical to the
-    /// pre-sparse code — while the Two-Stage jig (dim 29) gets the
-    /// sparse engine with its symbolic factorization done at
-    /// plan-compile time.
-    #[test]
-    fn engine_crossover_matches_bench_dims() {
-        let ota = compile(
-            bench_suite::by_name("Simple OTA")
-                .unwrap()
-                .problem()
-                .unwrap(),
-        )
-        .unwrap();
-        let plan = EvalPlan::build(&ota, AWE_ORDER);
-        assert!(
-            plan.jigs.iter().all(|j| !j.engine_template.is_sparse()),
-            "Simple OTA must stay dense"
-        );
-        let ts = compile(
-            bench_suite::by_name("Two-Stage")
-                .unwrap()
-                .problem()
-                .unwrap(),
-        )
-        .unwrap();
-        let plan = EvalPlan::build(&ts, AWE_ORDER);
-        assert!(
-            plan.jigs.iter().all(|j| j.engine_template.is_sparse()),
-            "Two-Stage must use the sparse engine"
-        );
     }
 }

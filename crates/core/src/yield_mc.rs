@@ -44,7 +44,7 @@ impl Default for YieldOptions {
 }
 
 /// Result of a Monte-Carlo yield estimate.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct YieldResult {
     /// Samples attempted.
     pub samples: usize,
@@ -87,16 +87,11 @@ pub fn yield_mc(
     state: &OblxState,
     opts: &YieldOptions,
 ) -> Result<YieldResult, EvalFailure> {
-    // Nominal must assemble; this also snapshots device geometries for
-    // the Pelgrom sigmas.
+    // Nominal must assemble; its device geometries set the Pelgrom
+    // sigmas.
     let vars = compiled.var_map(&state.user);
     let bias = oblx_mna::SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib)
         .map_err(|e| EvalFailure::Build(e.to_string()))?;
-    let geometries: HashMap<String, f64> = bias
-        .mosfets
-        .iter()
-        .map(|m| (m.name.clone(), m.w * m.l))
-        .collect();
 
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let mut passed = 0usize;
@@ -104,18 +99,20 @@ pub fn yield_mc(
     let mut failures: Vec<usize> = vec![0; compiled.problem.specs.len()];
 
     for _ in 0..opts.samples {
-        // Draw one vto offset per device name; the same offset applies
-        // to that device in the bias circuit and in every jig.
-        let offsets: HashMap<String, f64> = geometries
+        // Draw one vto offset per device, in bias-circuit order so a
+        // seed fixes every draw; the same offset applies to that device
+        // (by name) in the bias circuit and in every jig.
+        let offsets: HashMap<&str, f64> = bias
+            .mosfets
             .iter()
-            .map(|(name, wl)| {
-                let sigma = opts.a_vt / wl.max(1e-18).sqrt();
-                (name.clone(), sigma * normal(&mut rng))
+            .map(|m| {
+                let sigma = opts.a_vt / (m.w * m.l).max(1e-18).sqrt();
+                (m.name.as_str(), sigma * normal(&mut rng))
             })
             .collect();
         let perturb = |ckt: &mut oblx_mna::SizedCircuit| {
             for m in ckt.mosfets.iter_mut() {
-                if let Some(&dv) = offsets.get(&m.name) {
+                if let Some(&dv) = offsets.get(m.name.as_str()) {
                     m.model.shift_vto(dv);
                 }
             }
@@ -236,13 +233,18 @@ mod tests {
             },
         )
         .unwrap();
+        // Brutal mismatch, so that samples fail on several goals and
+        // the whole failure table depends on every draw.
         let opts = YieldOptions {
             samples: 6,
-            a_vt: 60e-9,
+            a_vt: 500e-9,
             ..YieldOptions::default()
         };
-        let a = yield_mc(&compiled, &result.state, &opts).unwrap();
-        let b2 = yield_mc(&compiled, &result.state, &opts).unwrap();
-        assert_eq!(a.passed, b2.passed);
+        let first = yield_mc(&compiled, &result.state, &opts).unwrap();
+        let failures: usize = first.failures_by_goal.iter().map(|(_, n)| n).sum();
+        assert!(failures + first.bias_failures > 0, "{first:?}");
+        for _ in 0..4 {
+            assert_eq!(yield_mc(&compiled, &result.state, &opts).unwrap(), first);
+        }
     }
 }

@@ -17,19 +17,31 @@
 //! (prefer the diagonal, then the lowest row, then the lowest column).
 //! Because the choice is value-independent, a plan-compile-time
 //! symbolic analysis and a from-scratch analysis of the same circuit
-//! derive the *same* pivot order, which keeps the incremental and cold
-//! evaluation paths bit-identical. The price of static pivoting is that
-//! a numerically awful (but structurally fine) pivot can slip through;
-//! the numeric refactor therefore checks every pivot exactly like the
-//! dense path (`!(mag > 0.0) || !finite` → [`SingularMatrixError`]) and
-//! feeds the same pivot-ratio conditioning telemetry, and callers fall
-//! back to dense partial-pivoted LU on failure.
+//! derive the *same* pivot order, which keeps the plan and the
+//! reference evaluation bit-identical. The price of static pivoting is
+//! that a numerically awful (but structurally fine) pivot can slip
+//! through; the numeric refactor therefore checks every pivot exactly
+//! like the dense `Lu::factor` (`!(mag > 0.0) || !finite` →
+//! [`SingularMatrixError`]) and feeds the same pivot-ratio conditioning
+//! telemetry, and callers treat the failure as a singular matrix.
+//!
+//! The symbolic step lays the factor out in step order — each step's
+//! pivot, then its `L` entries by permuted row, then its `U` entries by
+//! permuted column — so the slot of any factor coordinate is found by
+//! a binary search within one step's run, with no coordinate map.
 
 use crate::lu::SingularMatrixError;
-use std::collections::HashMap;
 
 /// Number of bits per bitset word in the symbolic pass.
 const WORD: usize = 64;
+
+/// Calls `f` with the index of every set bit of `w`, lowest first.
+fn for_each_bit(mut w: u64, mut f: impl FnMut(usize)) {
+    while w != 0 {
+        f(w.trailing_zeros() as usize);
+        w &= w - 1;
+    }
+}
 
 /// A sparse LU factorization `P·A·Q = L·U` over a fixed structural
 /// pattern.
@@ -120,95 +132,97 @@ impl SparseLu {
 
         let mut row_of_step = Vec::with_capacity(n);
         let mut col_of_step = Vec::with_capacity(n);
-        // Per-step original-coordinate L rows / U columns.
-        let mut step_l: Vec<Vec<u32>> = Vec::with_capacity(n);
-        let mut step_u: Vec<Vec<u32>> = Vec::with_capacity(n);
-
-        let bits_of = |row: &[u64], mask: &[u64]| -> Vec<u32> {
-            let mut out = Vec::new();
-            for (wi, (&w, &m)) in row.iter().zip(mask).enumerate() {
-                let mut live = w & m;
-                while live != 0 {
-                    let b = live.trailing_zeros();
-                    out.push((wi * WORD) as u32 + b);
-                    live &= live - 1;
-                }
+        // Per-step original-coordinate L rows / U columns, flat with
+        // per-step ranges `step_*_start[k]..step_*_start[k+1]`.
+        let (mut step_l, mut step_u) = (Vec::new(), Vec::new());
+        let mut step_l_start = Vec::with_capacity(n + 1);
+        let mut step_u_start = Vec::with_capacity(n + 1);
+        // Alive-submatrix row and column counts, kept current as rows,
+        // columns and fill-in come and go.
+        let mut row_cnt = vec![0u32; n];
+        let mut col_cnt = vec![0u32; n];
+        for (r, cnt) in row_cnt.iter_mut().enumerate() {
+            for (wi, &w) in pat[r * words..(r + 1) * words].iter().enumerate() {
+                *cnt += w.count_ones();
+                for_each_bit(w, |b| col_cnt[wi * WORD + b] += 1);
             }
-            out
-        };
+        }
+        let mut pivot_row = vec![0u64; words];
 
         for _step in 0..n {
-            // Alive-submatrix row and column counts.
-            let mut row_cnt = vec![0u32; n];
-            let mut col_cnt = vec![0u32; n];
-            for r in 0..n {
-                if !row_alive[r] {
-                    continue;
-                }
-                let row = &pat[r * words..(r + 1) * words];
-                for (wi, (&w, &m)) in row.iter().zip(&col_mask).enumerate() {
-                    let mut live = w & m;
-                    row_cnt[r] += live.count_ones();
-                    while live != 0 {
-                        let c = wi * WORD + live.trailing_zeros() as usize;
-                        col_cnt[c] += 1;
-                        live &= live - 1;
-                    }
-                }
-            }
             // Markowitz pivot search with deterministic tie-break.
             let mut best: Option<(u64, bool, usize, usize)> = None;
-            for r in 0..n {
-                if !row_alive[r] || row_cnt[r] == 0 {
-                    continue;
-                }
-                let row = &pat[r * words..(r + 1) * words];
-                for c in bits_of(row, &col_mask) {
-                    let c = c as usize;
-                    let cost = u64::from(row_cnt[r] - 1) * u64::from(col_cnt[c] - 1);
-                    // Sort key: (cost, off-diagonal, r, c) — lower wins.
-                    let key = (cost, r != c, r, c);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
+            for r in (0..n).filter(|&r| row_alive[r] && row_cnt[r] > 0) {
+                for (wi, (&w, &m)) in pat[r * words..(r + 1) * words]
+                    .iter()
+                    .zip(&col_mask)
+                    .enumerate()
+                {
+                    for_each_bit(w & m, |b| {
+                        let c = wi * WORD + b;
+                        let cost = u64::from(row_cnt[r] - 1) * u64::from(col_cnt[c] - 1);
+                        // Sort key: (cost, off-diagonal, r, c) — lower wins.
+                        let key = (cost, r != c, r, c);
+                        if best.is_none_or(|b| key < b) {
+                            best = Some(key);
+                        }
+                    });
                 }
             }
             let Some((_, _, pr, pc)) = best else {
                 // No candidate pivot: structurally singular. Report the
                 // first still-alive column, mirroring the dense error.
-                let column = bits_of(&vec![u64::MAX; words], &col_mask)
-                    .first()
-                    .map_or(0, |&c| c as usize);
+                let column = col_mask
+                    .iter()
+                    .enumerate()
+                    .find(|(_, &m)| m != 0)
+                    .map_or(0, |(wi, m)| wi * WORD + m.trailing_zeros() as usize);
                 return Err(SingularMatrixError { column });
             };
 
             // Record this step's L rows and U columns, then apply the
-            // structural rank-1 fill update.
-            let pivot_row: Vec<u64> = {
-                let row = &pat[pr * words..(pr + 1) * words];
-                row.iter().zip(&col_mask).map(|(&w, &m)| w & m).collect()
-            };
-            let mut u_here = bits_of(&pivot_row, &col_mask);
-            u_here.retain(|&c| c as usize != pc);
-            let mut l_here = Vec::new();
+            // structural rank-1 fill update. Row `pr` and column `pc`
+            // leave the alive submatrix.
+            for ((p, &w), &m) in pivot_row.iter_mut().zip(&pat[pr * words..]).zip(&col_mask) {
+                *p = w & m;
+            }
+            step_u_start.push(step_u.len());
+            for (wi, &w) in pivot_row.iter().enumerate() {
+                for_each_bit(w, |b| {
+                    let c = wi * WORD + b;
+                    col_cnt[c] -= 1;
+                    if c != pc {
+                        step_u.push(c as u32);
+                    }
+                });
+            }
+            step_l_start.push(step_l.len());
             for r in 0..n {
                 if r == pr || !row_alive[r] {
                     continue;
                 }
                 if pat[r * words + pc / WORD] >> (pc % WORD) & 1 == 1 {
-                    l_here.push(r as u32);
-                    for (w, &p) in pat[r * words..(r + 1) * words].iter_mut().zip(&pivot_row) {
+                    step_l.push(r as u32);
+                    row_cnt[r] -= 1;
+                    for (wi, (w, &p)) in pat[r * words..(r + 1) * words]
+                        .iter_mut()
+                        .zip(&pivot_row)
+                        .enumerate()
+                    {
+                        let fill = p & !*w;
+                        row_cnt[r] += fill.count_ones();
+                        for_each_bit(fill, |b| col_cnt[wi * WORD + b] += 1);
                         *w |= p;
                     }
                 }
             }
             row_of_step.push(pr as u32);
             col_of_step.push(pc as u32);
-            step_l.push(l_here);
-            step_u.push(u_here);
             row_alive[pr] = false;
             col_mask[pc / WORD] &= !(1 << (pc % WORD));
         }
+        step_l_start.push(step_l.len());
+        step_u_start.push(step_u.len());
 
         // Permuted coordinates and factor slot assignment: step order,
         // pivot first, then L by permuted row, then U by permuted col.
@@ -218,44 +232,64 @@ impl SparseLu {
             inv_row[row_of_step[k] as usize] = k as u32;
             inv_col[col_of_step[k] as usize] = k as u32;
         }
-        let mut slot_of: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut next = 0u32;
         let mut pivot_slot = Vec::with_capacity(n);
-        let mut l_rows = Vec::new();
-        let mut l_slots = Vec::new();
+        let (mut l_rows, mut l_slots) = (Vec::with_capacity(step_l.len()), Vec::new());
+        let (mut u_cols, mut u_slots) = (Vec::with_capacity(step_u.len()), Vec::new());
         let mut l_start = Vec::with_capacity(n + 1);
-        let mut u_cols = Vec::new();
-        let mut u_slots = Vec::new();
         let mut u_start = Vec::with_capacity(n + 1);
         for k in 0..n {
-            let kk = k as u32;
-            let next = slot_of.len() as u32;
             pivot_slot.push(next);
-            slot_of.insert((kk, kk), next);
+            next += 1;
             l_start.push(l_rows.len() as u32);
-            let mut lp: Vec<u32> = step_l[k].iter().map(|&r| inv_row[r as usize]).collect();
-            lp.sort_unstable();
-            for i in lp {
-                let next = slot_of.len() as u32;
-                slot_of.insert((i, kk), next);
-                l_rows.push(i);
-                l_slots.push(next);
-            }
+            let lo = l_rows.len();
+            l_rows.extend(
+                step_l[step_l_start[k]..step_l_start[k + 1]]
+                    .iter()
+                    .map(|&r| inv_row[r as usize]),
+            );
+            l_rows[lo..].sort_unstable();
+            let end = next + (l_rows.len() - lo) as u32;
+            l_slots.extend(next..end);
+            next = end;
             u_start.push(u_cols.len() as u32);
-            let mut up: Vec<u32> = step_u[k].iter().map(|&c| inv_col[c as usize]).collect();
-            up.sort_unstable();
-            for j in up {
-                let next = slot_of.len() as u32;
-                slot_of.insert((kk, j), next);
-                u_cols.push(j);
-                u_slots.push(next);
-            }
+            let lo = u_cols.len();
+            u_cols.extend(
+                step_u[step_u_start[k]..step_u_start[k + 1]]
+                    .iter()
+                    .map(|&c| inv_col[c as usize]),
+            );
+            u_cols[lo..].sort_unstable();
+            let end = next + (u_cols.len() - lo) as u32;
+            u_slots.extend(next..end);
+            next = end;
         }
         l_start.push(l_rows.len() as u32);
         u_start.push(u_cols.len() as u32);
+        let fill = next as usize;
+        // Slot of permuted coordinate `(i, j)`: the pivot of step
+        // `i == j`, an L entry of step `j` (`i > j`) or a U entry of
+        // step `i` (`j > i`). The fill pass guarantees it exists.
+        let slot_of = |i: u32, j: u32| -> u32 {
+            let (k, idx, starts, slots) = match i.cmp(&j) {
+                std::cmp::Ordering::Equal => return pivot_slot[i as usize],
+                std::cmp::Ordering::Greater => (j as usize, i, &l_start, &l_slots),
+                std::cmp::Ordering::Less => (i as usize, j, &u_start, &u_slots),
+            };
+            let (lo, hi) = (starts[k] as usize, starts[k + 1] as usize);
+            let run = if i > j {
+                &l_rows[lo..hi]
+            } else {
+                &u_cols[lo..hi]
+            };
+            let pos = run
+                .binary_search(&idx)
+                .expect("pattern entry has a factor slot");
+            slots[lo + pos]
+        };
 
         // Compiled elimination: every (L row) × (U col) pair of a step
-        // targets a slot of the trailing submatrix, which the fill pass
-        // above guaranteed exists.
+        // targets a slot of the trailing submatrix.
         let mut mul_target = Vec::new();
         let mut mul_l = Vec::new();
         let mut mul_u = Vec::new();
@@ -266,8 +300,7 @@ impl SparseLu {
             let ur = u_start[k] as usize..u_start[k + 1] as usize;
             for li in lr {
                 for ui in ur.clone() {
-                    let t = slot_of[&(l_rows[li], u_cols[ui])];
-                    mul_target.push(t);
+                    mul_target.push(slot_of(l_rows[li], u_cols[ui]));
                     mul_l.push(l_slots[li]);
                     mul_u.push(u_slots[ui]);
                 }
@@ -277,10 +310,9 @@ impl SparseLu {
 
         let scatter = entries
             .iter()
-            .map(|&(r, c)| slot_of[&(inv_row[r], inv_col[c])])
+            .map(|&(r, c)| slot_of(inv_row[r], inv_col[c]))
             .collect();
 
-        let fill = slot_of.len();
         oblx_telemetry::add(oblx_telemetry::Counter::SparseNnz, nnz_input as u64);
         oblx_telemetry::add(oblx_telemetry::Counter::SparseFill, fill as u64);
 

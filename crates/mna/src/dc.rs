@@ -58,6 +58,12 @@ pub enum DcError {
         /// Residual at the best iterate (A).
         residual: f64,
     },
+    /// A transient time step did not converge, even split into
+    /// smaller steps.
+    StepFailed {
+        /// The time point that failed (s).
+        time: f64,
+    },
 }
 
 impl fmt::Display for DcError {
@@ -66,6 +72,9 @@ impl fmt::Display for DcError {
             DcError::Singular => write!(f, "singular jacobian (floating node?)"),
             DcError::NoConvergence { residual } => {
                 write!(f, "newton did not converge (residual {residual:.3e} A)")
+            }
+            DcError::StepFailed { time } => {
+                write!(f, "transient step did not converge at t = {time:.3e} s")
             }
         }
     }

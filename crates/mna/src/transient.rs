@@ -94,9 +94,9 @@ impl Waveforms {
 ///
 /// # Errors
 ///
-/// [`DcError`] when the initial operating point cannot be solved or a
-/// time step fails to converge (reported as
-/// [`DcError::NoConvergence`]).
+/// [`DcError`] when the initial operating point cannot be solved, or
+/// [`DcError::StepFailed`] when a time step fails to converge even
+/// after being split into smaller steps.
 pub fn step_response(
     circuit: &SizedCircuit,
     source: &str,
@@ -143,33 +143,68 @@ pub fn step_response(
 
     for step in 1..=steps {
         let t = step as f64 * opts.dt;
-        let x_prev = x.clone();
-        // Newton iterations for this time point.
-        let mut converged = false;
-        for _ in 0..opts.max_iters {
-            let (mut jac, mut f) = linearize_at(&stepped, &x, 1.0, opts.gmin);
-            stamp_caps_be(&stepped, &x, &x_prev, opts.dt, &mut jac, &mut f);
-            let lu = Lu::factor(jac).map_err(|_| DcError::Singular)?;
-            let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
-            let dx = lu.solve(&rhs);
-            let mut max_dv = 0.0f64;
-            for (xi, di) in x.iter_mut().zip(dx.iter()) {
-                let d = di.clamp(-1.0, 1.0);
-                *xi += d;
-                max_dv = max_dv.max(d.abs());
-            }
-            if max_dv < opts.vtol {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(DcError::NoConvergence { residual: t });
+        if !be_step(&stepped, &mut x, opts.dt, opts, MAX_HALVINGS)? {
+            return Err(DcError::StepFailed { time: t });
         }
         out.t.push(t);
         out.v.push(x[..n].to_vec());
     }
     Ok(out)
+}
+
+/// How many times one time step may be split in half when Newton fails
+/// to converge on it: down to `dt / 64`.
+const MAX_HALVINGS: u32 = 6;
+
+/// Advances `x` by one backward-Euler step of `dt`. When Newton does
+/// not converge within `opts.max_iters`, the step is retried from the
+/// same start as two half steps, at most `halvings` levels deep.
+/// Returns `false` when even the smallest steps fail.
+fn be_step(
+    circuit: &SizedCircuit,
+    x: &mut [f64],
+    dt: f64,
+    opts: &TranOptions,
+    halvings: u32,
+) -> Result<bool, DcError> {
+    let x_prev = x.to_vec();
+    if newton_at_step(circuit, x, &x_prev, dt, opts)? {
+        return Ok(true);
+    }
+    if halvings == 0 {
+        return Ok(false);
+    }
+    x.copy_from_slice(&x_prev);
+    Ok(be_step(circuit, x, dt / 2.0, opts, halvings - 1)?
+        && be_step(circuit, x, dt / 2.0, opts, halvings - 1)?)
+}
+
+/// Newton iterations for one time point, starting from `x`; `true` on
+/// convergence.
+fn newton_at_step(
+    circuit: &SizedCircuit,
+    x: &mut [f64],
+    x_prev: &[f64],
+    dt: f64,
+    opts: &TranOptions,
+) -> Result<bool, DcError> {
+    for _ in 0..opts.max_iters {
+        let (mut jac, mut f) = linearize_at(circuit, x, 1.0, opts.gmin);
+        stamp_caps_be(circuit, x, x_prev, dt, &mut jac, &mut f);
+        let lu = Lu::factor(jac).map_err(|_| DcError::Singular)?;
+        let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
+        let dx = lu.solve(&rhs);
+        let mut max_dv = 0.0f64;
+        for (xi, di) in x.iter_mut().zip(dx.iter()) {
+            let d = di.clamp(-1.0, 1.0);
+            *xi += d;
+            max_dv = max_dv.max(d.abs());
+        }
+        if max_dv < opts.vtol {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Backward-Euler companion stamps for every capacitance: linear
@@ -337,6 +372,49 @@ c1 out 0 10p
         );
         // Output must fall toward the triode floor.
         assert!(w.final_value(out).unwrap() < 1.0);
+    }
+
+    /// An RC node amplified ×20 by a VCVS: with Newton updates clamped
+    /// to 1 V, a step of dt = τ moves the amplified node 10 V and needs
+    /// 11 iterations; a quarter step from rest needs 5.
+    const AMPLIFIED_RC: &str =
+        ".jig j\nvin in 0 0\nr1 in out 1k\nc1 out 0 1n\ne1 big 0 out 0 20\nr2 big 0 1k\n.endjig\n";
+
+    #[test]
+    fn non_converging_step_is_split_into_half_steps() {
+        let ckt = circuit(AMPLIFIED_RC, None);
+        let opts = TranOptions {
+            dt: 1e-6,
+            t_stop: 1e-6,
+            max_iters: 6,
+            ..TranOptions::default()
+        };
+        let w = step_response(&ckt, "vin", 1.0, &opts).unwrap();
+        // The first half step is split again (two quarter steps reach
+        // 1 − 0.8² = 0.36); the second half step then converges whole:
+        // (0.36 + 0.5) / 1.5.
+        let out = ckt.nodes.get("out").unwrap();
+        let v = w.final_value(out).unwrap();
+        assert!((v - 0.86 / 1.5).abs() < 1e-6, "v(dt) = {v}");
+        assert_eq!(
+            w.t,
+            vec![0.0, 1e-6],
+            "only the requested time points are recorded"
+        );
+    }
+
+    #[test]
+    fn failed_step_reports_its_time() {
+        let ckt = circuit(AMPLIFIED_RC, None);
+        let opts = TranOptions {
+            dt: 1e-6,
+            t_stop: 3e-6,
+            max_iters: 1,
+            ..TranOptions::default()
+        };
+        let err = step_response(&ckt, "vin", 1.0, &opts).unwrap_err();
+        assert_eq!(err, DcError::StepFailed { time: 1e-6 });
+        assert!(err.to_string().ends_with("at t = 1.000e-6 s"), "{err}");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! `CostBreakdown` as the reference evaluation (`record`) of the same
 //! state, component by component, within 1e-12 relative.
 //!
-//! The circuit is an input: the section IV diff amp, Simple OTA (dense
-//! AWE engine), Folded Cascode (sparse AWE engine) and BiCMOS Two-Stage
-//! (bipolar operating points).
+//! The circuit is an input: the section IV diff amp, Simple OTA (dim-24
+//! jigs), Folded Cascode (41-node jigs) and BiCMOS Two-Stage (bipolar
+//! operating points). Every jig runs on the one sparse AWE engine.
 
 use astrx_oblx::cost::{CostBreakdown, CostEvaluator};
 use astrx_oblx::{bench_suite, AdaptiveWeights, CompiledProblem};
