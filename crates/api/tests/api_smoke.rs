@@ -1,5 +1,6 @@
 //! End-to-end smoke of the HTTP edge, from the wire: malformed decks
-//! come back as structured 4xx with the parser's line/column; a real
+//! and deeply nested input come back as structured 4xx with the
+//! parser's line/column; a real
 //! deck runs to completion through the in-process pool; results and
 //! event streams fetch; cancel works over HTTP; a flood beyond the
 //! admission bound sheds 429s while the service keeps working; the
@@ -169,6 +170,42 @@ fn unevaluable_decks_are_a_structured_422() {
     }
     let spool = Spool::open(dir.join("spool")).unwrap();
     assert!(spool.pending().is_empty(), "nothing entered the queue");
+    stop(server, &shutdown, pool, &dir);
+}
+
+/// A deeply nested JSON body or deck expression is a structured error,
+/// not a stack overflow that aborts the whole server.
+#[test]
+fn deeply_nested_input_is_a_structured_error() {
+    let (server, shutdown, pool, dir) = start("nested", ServerOptions::default(), 0);
+    let addr = server.addr();
+    let resp = post(addr, "/v1/jobs", &"[".repeat(100_000));
+    assert_eq!(resp.status, 400, "{}", resp.text());
+    let err = resp.json();
+    let err = err.get("error").expect("error object");
+    assert_eq!(err.get("kind").unwrap().as_str(), Some("bad_request"));
+
+    let diffamp = include_str!("../../core/src/testdata/diffamp.ox");
+    let deep = format!(
+        "cl2 out- 0 '{}1p{}'",
+        "(".repeat(100_000),
+        ")".repeat(100_000)
+    );
+    let source = diffamp.replace("cl2 out- 0 1p", &deep);
+    let body = astrx_oblx::json::ObjBuilder::new()
+        .field("source", source.as_str())
+        .build()
+        .to_json();
+    let resp = post(addr, "/v1/jobs", &body);
+    assert_eq!(resp.status, 422, "{}", resp.text());
+    let err = resp.json();
+    let err = err.get("error").expect("error object");
+    assert_eq!(err.get("kind").unwrap().as_str(), Some("parse"));
+    assert!(err.get("line").and_then(Value::as_int).is_some());
+    assert!(err.get("column").and_then(Value::as_int).is_some());
+
+    // The server is still up.
+    assert_eq!(get(addr, "/v1/metrics").status, 200);
     stop(server, &shutdown, pool, &dir);
 }
 

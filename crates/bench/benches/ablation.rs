@@ -60,7 +60,13 @@ fn print_ablation() {
         "configuration", "kcl (A)", "fixed cost", "pred err %"
     );
     for cfg in configs(moves) {
-        let r = synthesize(&compiled, &cfg.opts).expect("synthesis");
+        let r = match synthesize(&compiled, &cfg.opts) {
+            Ok(r) => r,
+            Err(e) => {
+                println!("{:<42} best state unevaluable: {e}", cfg.label);
+                continue;
+            }
+        };
         let score = fixed_cost(&compiled, &r.state);
         let err = astrx_oblx::verify::verify_result(&compiled, &r)
             .map(|v| 100.0 * v.worst_relative_error())
@@ -84,10 +90,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for cfg in configs(1_500) {
         g.bench_function(cfg.label, |bench| {
-            bench.iter(|| {
-                let r = synthesize(&compiled, &cfg.opts).expect("synthesis");
-                black_box(r.best_cost)
-            })
+            bench.iter(|| black_box(synthesize(&compiled, &cfg.opts).map(|r| r.best_cost)))
         });
     }
     g.finish();

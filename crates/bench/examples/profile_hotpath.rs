@@ -142,29 +142,11 @@ fn main() {
 
     // Restamp cost.
     let (mut sys2, _, _) = oblx_bench::first_jig_system(&c);
-    let user = c.initial_user_values();
-    let vars = c.var_map(&user);
-    let bias = oblx_mna::SizedCircuit::build(&c.bias_netlist, &vars, &c.lib).unwrap();
-    let opts = oblx_mna::DcOptions {
-        abstol_i: 1e-8,
-        max_iters: 300,
-        ..Default::default()
-    };
-    let op = oblx_mna::solve_dc_with(&bias, &opts, None).unwrap();
-    let jig = &c.jigs[0];
-    let ckt = oblx_mna::SizedCircuit::build(&jig.netlist, &vars, &c.lib).unwrap();
-    let mos: Vec<_> = ckt
-        .mosfets
-        .iter()
-        .map(|m| {
-            let i = bias
-                .mosfets
-                .iter()
-                .position(|bm| bm.name == m.name)
-                .unwrap();
-            op.mos_ops[i]
-        })
-        .collect();
+    let (bias, op, vars) = oblx_bench::newton_bias(&c);
+    let ckt = oblx_mna::SizedCircuit::build(&c.jigs[0].netlist, &vars, &c.lib).unwrap();
+    let (mos, _, _) =
+        astrx_oblx::cost::jig_device_ops(&bias, &ckt, &op.mos_ops, &op.bjt_ops, &op.diode_ops)
+            .unwrap();
     let t = Instant::now();
     for _ in 0..n {
         sys2.restamp(&ckt, &mos, &[], &[]);

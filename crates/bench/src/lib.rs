@@ -7,7 +7,9 @@
 
 use astrx_oblx::astrx::{compile, determined_voltages, CompiledProblem};
 use astrx_oblx::bench_suite::Benchmark;
-use oblx_mna::{solve_dc_with, DcOptions, LinearSystem, OutputSelector, SizedCircuit};
+use astrx_oblx::cost::jig_device_ops;
+use oblx_mna::{solve_dc_with, DcOptions, LinearSystem, OpPoint, OutputSelector, SizedCircuit};
+use std::collections::HashMap;
 
 /// Compiles a benchmark, panicking with its name on failure (benches
 /// are allowed to be loud).
@@ -17,11 +19,10 @@ pub fn compiled(b: &Benchmark) -> CompiledProblem {
 }
 
 /// Newton-solves the bias circuit of a compiled benchmark at its
-/// default sizing and returns the free-node voltages (the relaxed-dc
-/// state of a dc-correct point).
-pub fn newton_nodes(c: &CompiledProblem) -> Vec<f64> {
-    let user = c.initial_user_values();
-    let vars = c.var_map(&user);
+/// default sizing: the bias circuit, its operating point, and the
+/// variable map.
+pub fn newton_bias(c: &CompiledProblem) -> (SizedCircuit, OpPoint, HashMap<String, f64>) {
+    let vars = c.var_map(&c.initial_user_values());
     let bias = SizedCircuit::build(&c.bias_netlist, &vars, &c.lib).expect("bias builds");
     let opts = DcOptions {
         abstol_i: 1e-8,
@@ -29,6 +30,13 @@ pub fn newton_nodes(c: &CompiledProblem) -> Vec<f64> {
         ..DcOptions::default()
     };
     let op = solve_dc_with(&bias, &opts, None).expect("newton converges");
+    (bias, op, vars)
+}
+
+/// The free-node voltages of [`newton_bias`] (the relaxed-dc state of
+/// a dc-correct point).
+pub fn newton_nodes(c: &CompiledProblem) -> Vec<f64> {
+    let (bias, op, _) = newton_bias(c);
     determined_voltages(&bias)
         .iter()
         .enumerate()
@@ -40,54 +48,11 @@ pub fn newton_nodes(c: &CompiledProblem) -> Vec<f64> {
 /// Builds the first jig's linearized system at the Newton-solved bias
 /// point: `(system, source name, output probe)`.
 pub fn first_jig_system(c: &CompiledProblem) -> (LinearSystem, String, OutputSelector) {
-    let user = c.initial_user_values();
-    let vars = c.var_map(&user);
-    let bias = SizedCircuit::build(&c.bias_netlist, &vars, &c.lib).expect("bias builds");
-    let opts = DcOptions {
-        abstol_i: 1e-8,
-        max_iters: 300,
-        ..DcOptions::default()
-    };
-    let op = solve_dc_with(&bias, &opts, None).expect("newton converges");
-
+    let (bias, op, vars) = newton_bias(c);
     let jig = &c.jigs[0];
     let ckt = SizedCircuit::build(&jig.netlist, &vars, &c.lib).expect("jig builds");
-    let mos: Vec<_> = ckt
-        .mosfets
-        .iter()
-        .map(|m| {
-            let i = bias
-                .mosfets
-                .iter()
-                .position(|bm| bm.name == m.name)
-                .expect("bias counterpart");
-            op.mos_ops[i]
-        })
-        .collect();
-    let bjt: Vec<_> = ckt
-        .bjts
-        .iter()
-        .map(|q| {
-            let i = bias
-                .bjts
-                .iter()
-                .position(|bq| bq.name == q.name)
-                .expect("bias counterpart");
-            op.bjt_ops[i]
-        })
-        .collect();
-    let diode: Vec<_> = ckt
-        .diodes
-        .iter()
-        .map(|d| {
-            let i = bias
-                .diodes
-                .iter()
-                .position(|bd| bd.name == d.name)
-                .expect("bias counterpart");
-            op.diode_ops[i]
-        })
-        .collect();
+    let (mos, bjt, diode) = jig_device_ops(&bias, &ckt, &op.mos_ops, &op.bjt_ops, &op.diode_ops)
+        .expect("bias counterpart");
     let sys = LinearSystem::from_device_ops(&ckt, &mos, &bjt, &diode);
     let a = &jig.analyses[0];
     let out = sys

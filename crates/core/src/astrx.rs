@@ -250,7 +250,8 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
     // Tree–link analysis on the bias circuit: node voltages reachable
     // from ground through independent voltage sources are determined;
     // every other node voltage joins x (paper §V.A).
-    let determined = determined_nodes(&bias_ckt);
+    let det = determined_voltages(&bias_ckt);
+    let determined = |n: Option<usize>| n.is_none_or(|i| det[i].is_some());
 
     // Structural restrictions of the relaxed-dc formulation: the bias
     // circuit may not contain branch elements whose current equations
@@ -258,16 +259,12 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
     // undetermined nodes, controlled voltage sources, inductors).
     for el in &bias_ckt.linear {
         match el {
-            oblx_mna::LinElement::Vsource { p, m, .. } => {
-                let p_det = p.is_none_or(|i| determined.contains(&i));
-                let m_det = m.is_none_or(|i| determined.contains(&i));
-                if !p_det || !m_det {
-                    return Err(CompileError::Structure(
-                        "bias circuit has a voltage source floating between \
-                         undetermined nodes"
-                            .into(),
-                    ));
-                }
+            oblx_mna::LinElement::Vsource { p, m, .. } if !determined(*p) || !determined(*m) => {
+                return Err(CompileError::Structure(
+                    "bias circuit has a voltage source floating between \
+                     undetermined nodes"
+                        .into(),
+                ));
             }
             oblx_mna::LinElement::Vcvs { .. } | oblx_mna::LinElement::Inductor { .. } => {
                 return Err(CompileError::Structure(
@@ -282,7 +279,7 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
     let node_vars: Vec<String> = bias_ckt
         .nodes
         .iter()
-        .filter(|(i, _)| !determined.contains(i))
+        .filter(|(i, _)| det[*i].is_none())
         .map(|(_, n)| n.to_string())
         .collect();
 
@@ -456,38 +453,10 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
     Ok(compiled)
 }
 
-/// Identifies bias-circuit nodes whose voltage is fixed by a chain of
-/// independent voltage sources from ground (the "trivially determined"
-/// nodes of the tree–link analysis).
-pub fn determined_nodes(ckt: &SizedCircuit) -> HashSet<usize> {
-    let mut det: HashSet<usize> = HashSet::new();
-    // Iterate to a fixed point: a V source with one side determined
-    // (or ground) determines the other side.
-    loop {
-        let mut changed = false;
-        for el in &ckt.linear {
-            if let oblx_mna::LinElement::Vsource { p, m, .. } = el {
-                let p_det = p.is_none_or(|i| det.contains(&i));
-                let m_det = m.is_none_or(|i| det.contains(&i));
-                if p_det && !m_det {
-                    det.insert(m.expect("non-ground because !m_det"));
-                    changed = true;
-                } else if m_det && !p_det {
-                    det.insert(p.expect("non-ground because !p_det"));
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return det;
-        }
-    }
-}
-
-/// Computes the determined node voltages for a concrete bias circuit
-/// (dc source values already resolved against the variable map).
-///
-/// Returns `None` for free nodes.
+/// The tree–link analysis of a concrete bias circuit: the voltage of
+/// every node fixed by a chain of independent voltage sources from
+/// ground (dc values already resolved against the variable map), and
+/// `None` for the free nodes.
 pub fn determined_voltages(ckt: &SizedCircuit) -> Vec<Option<f64>> {
     let mut v: Vec<Option<f64>> = vec![None; ckt.nodes.len()];
     loop {
@@ -516,6 +485,26 @@ pub fn determined_voltages(ckt: &SizedCircuit) -> Vec<Option<f64>> {
         if !changed {
             return v;
         }
+    }
+}
+
+/// The free bias nodes of `det` (those without a determined voltage),
+/// in node-variable order.
+pub(crate) fn free_nodes(det: &[Option<f64>]) -> Vec<usize> {
+    det.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_none())
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Writes the node rows of the bias MNA vector `x`: the determined
+/// voltages of `det`, and `nodes` (in node-variable order, 0 V past
+/// its end) at the free nodes. Branch rows are left as they are.
+pub(crate) fn fill_bias_vector(det: &[Option<f64>], nodes: &[f64], x: &mut [f64]) {
+    let mut free = nodes.iter();
+    for (xi, dv) in x.iter_mut().zip(det) {
+        *xi = dv.unwrap_or_else(|| free.next().copied().unwrap_or(0.0));
     }
 }
 

@@ -15,12 +15,14 @@
 //!    normalizing by the goal's `good`/`bad` values → `C^obj`, `C^perf`,
 //! 6. penalize devices out of their required operating region → `C^dev`.
 
-use crate::astrx::{determined_voltages, CompiledProblem, RegionRequirement};
-use crate::plan::{score_slot, EvalPlan, Slot};
+use crate::astrx::{
+    determined_voltages, fill_bias_vector, free_nodes, CompiledProblem, RegionRequirement,
+};
+use crate::plan::{score_slot, BiasSlot, EvalPlan, Slot};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::ReducedModel;
 use oblx_devices::{BjtOp, DiodeOp, MosOp, Region};
-use oblx_mna::{LinElement, LinearSystem, MosInstance, SizedCircuit};
+use oblx_mna::{DeviceOps, LinElement, LinearSystem, MosInstance, SizedCircuit};
 use oblx_netlist::{builtin_call, EvalContext, EvalError, Expr, Goal, SpecKind};
 use std::collections::HashMap;
 use std::error::Error;
@@ -165,14 +167,6 @@ pub struct EvalRecord {
 }
 
 impl EvalRecord {
-    /// Worst KCL residual over free nodes (A).
-    pub fn kcl_max(&self) -> f64 {
-        self.free_nodes
-            .iter()
-            .map(|&i| self.residual[i].abs())
-            .fold(0.0, f64::max)
-    }
-
     /// The built-in `power()` measure: Σ over dc voltage sources of
     /// `|dc| · |KCL residual at the attached node|` — exact at
     /// dc-correctness, approximate during relaxation.
@@ -367,12 +361,15 @@ impl std::ops::Sub for EvalStats {
 /// only writes values into preallocated structures, with no hash-map
 /// construction or string allocation on the hot path. Two recent
 /// configurations are kept as slots so that a proposal differing from
-/// one of them in a few variables is re-evaluated incrementally.
+/// one of them in a few variables is re-evaluated incrementally. A
+/// third, bias-only slot serves [`CostEvaluator::newton_step`]; it sits
+/// outside the scoring slots' LRU and [`EvalStats`].
 pub struct CostEvaluator<'a> {
     compiled: &'a CompiledProblem,
     awe_order: usize,
     plan: EvalPlan,
     slots: Vec<Slot>,
+    newton: BiasSlot,
     clock: u64,
     stats: EvalStats,
 }
@@ -397,10 +394,12 @@ impl<'a> CostEvaluator<'a> {
     /// As for [`CostEvaluator::new`].
     pub fn with_awe_order(compiled: &'a CompiledProblem, awe_order: usize) -> Self {
         let awe_order = awe_order.clamp(1, 12);
+        let plan = EvalPlan::build(compiled, awe_order);
         CostEvaluator {
             compiled,
             awe_order,
-            plan: EvalPlan::build(compiled, awe_order),
+            newton: BiasSlot::new(&plan),
+            plan,
             slots: Vec::new(),
             clock: 0,
             stats: EvalStats::default(),
@@ -415,6 +414,29 @@ impl<'a> CostEvaluator<'a> {
     /// Cache/incremental telemetry accumulated so far.
     pub fn stats(&self) -> EvalStats {
         self.stats
+    }
+
+    /// The lowest and highest determined bias-node voltage at the
+    /// initial point, ground (0 V) included.
+    pub(crate) fn determined_span(&self) -> (f64, f64) {
+        determined_voltages(&self.plan.bias_template)
+            .into_iter()
+            .flatten()
+            .fold((0.0f64, 0.0f64), |(lo, hi), v| (lo.min(v), hi.max(v)))
+    }
+
+    /// The Newton–Raphson step on the free node voltages at
+    /// `(user, nodes)`: the solution `Δ` of the free-node block of
+    /// `J·Δ = −F`, in node-variable order. `J` and `F` are stamped from
+    /// the device operating points of the evaluation plan, brought to
+    /// this state by the same dirty-set rule as an evaluation, so
+    /// nothing is rebuilt from the netlist.
+    ///
+    /// `None` when an element value fails to bind, there are no free
+    /// nodes, or the free-node block is singular.
+    pub fn newton_step(&mut self, user: &[f64], nodes: &[f64]) -> Option<Vec<f64>> {
+        assert_eq!(user.len(), self.plan.user_len(), "var vector mismatch");
+        self.newton.newton_step(&self.plan, user, nodes)
     }
 
     /// Computes the full evaluation record for a configuration by
@@ -442,64 +464,17 @@ impl<'a> CostEvaluator<'a> {
         // Assemble the full voltage vector: determined nodes from the
         // V-source tree, free nodes from the annealing state.
         let det = determined_voltages(&bias);
+        let free_nodes = free_nodes(&det);
         let mut x = vec![0.0; bias.dim()];
-        let mut free_nodes = Vec::with_capacity(compiled.node_vars.len());
-        let mut free_i = 0usize;
-        for (i, dv) in det.iter().enumerate() {
-            match dv {
-                Some(v) => x[i] = *v,
-                None => {
-                    x[i] = node_values.get(free_i).copied().unwrap_or(0.0);
-                    free_nodes.push(i);
-                    free_i += 1;
-                }
-            }
-        }
+        fill_bias_vector(&det, node_values, &mut x);
 
         // Device evaluations at the proposed voltages.
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        let mos_ops: Vec<MosOp> = bias
-            .mosfets
-            .iter()
-            .map(|m| {
-                m.model
-                    .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b))
-            })
-            .collect();
-        let bjt_ops: Vec<BjtOp> = bias
-            .bjts
-            .iter()
-            .map(|q| q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e)))
-            .collect();
-        let diode_ops: Vec<DiodeOp> = bias
-            .diodes
-            .iter()
-            .map(|d| d.model.op(d.area, volt(d.a) - volt(d.k)))
-            .collect();
+        let (mos_ops, bjt_ops, diode_ops) = bias.device_ops(&x);
 
         // KCL residuals: linear part via stamps, devices from the ops.
         let residual = kcl_residual(&bias, &x, &mos_ops, &bjt_ops, &diode_ops);
 
         // Jig small-signal systems stamped from the bias-device models.
-        let mos_by_name: HashMap<&str, usize> = bias
-            .mosfets
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.name.as_str(), i))
-            .collect();
-        let bjt_by_name: HashMap<&str, usize> = bias
-            .bjts
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (q.name.as_str(), i))
-            .collect();
-        let diode_by_name: HashMap<&str, usize> = bias
-            .diodes
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name.as_str(), i))
-            .collect();
-
         let mut models = HashMap::new();
         for jig in &compiled.jigs {
             if jig.analyses.is_empty() {
@@ -507,36 +482,8 @@ impl<'a> CostEvaluator<'a> {
             }
             let ckt = SizedCircuit::build(&jig.netlist, &vars, &compiled.lib)
                 .map_err(|e| EvalFailure::Build(e.to_string()))?;
-            let jig_mos: Vec<MosOp> = ckt
-                .mosfets
-                .iter()
-                .map(|m| {
-                    mos_by_name
-                        .get(m.name.as_str())
-                        .map(|&i| mos_ops[i])
-                        .ok_or_else(|| EvalFailure::UnbiasedDevice(m.name.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            let jig_bjt: Vec<BjtOp> = ckt
-                .bjts
-                .iter()
-                .map(|q| {
-                    bjt_by_name
-                        .get(q.name.as_str())
-                        .map(|&i| bjt_ops[i])
-                        .ok_or_else(|| EvalFailure::UnbiasedDevice(q.name.clone()))
-                })
-                .collect::<Result<_, _>>()?;
-            let jig_diode: Vec<DiodeOp> = ckt
-                .diodes
-                .iter()
-                .map(|d| {
-                    diode_by_name
-                        .get(d.name.as_str())
-                        .map(|&i| diode_ops[i])
-                        .ok_or_else(|| EvalFailure::UnbiasedDevice(d.name.clone()))
-                })
-                .collect::<Result<_, _>>()?;
+            let (jig_mos, jig_bjt, jig_diode) =
+                jig_device_ops(&bias, &ckt, &mos_ops, &bjt_ops, &diode_ops)?;
             let sys = LinearSystem::from_device_ops(&ckt, &jig_mos, &jig_bjt, &jig_diode);
             for a in &jig.analyses {
                 let out = sys
@@ -864,12 +811,6 @@ pub fn normalized(goal: &Goal, value: f64) -> f64 {
     (value - goal.good) / (goal.bad - goal.good)
 }
 
-/// Saturation-region penalty for a MOS operating point (volts of
-/// margin shortfall, continuous across the region boundaries).
-pub fn mos_region_penalty(op: &MosOp) -> f64 {
-    mos_region_penalty_for(op, RegionRequirement::Saturation)
-}
-
 /// Region penalty for a MOS operating point against a required region.
 pub fn mos_region_penalty_for(op: &MosOp, req: RegionRequirement) -> f64 {
     match req {
@@ -911,6 +852,19 @@ pub fn kcl_residual(
     for (fi, r) in f.iter_mut().zip(rhs.iter()) {
         *fi -= r;
     }
+    add_device_currents(bias, &mut f, mos_ops, bjt_ops, diode_ops);
+    f
+}
+
+/// Adds the device currents to the KCL residual `f`: current leaving a
+/// node through a device counts positive.
+pub(crate) fn add_device_currents(
+    bias: &SizedCircuit,
+    f: &mut [f64],
+    mos_ops: &[MosOp],
+    bjt_ops: &[BjtOp],
+    diode_ops: &[DiodeOp],
+) {
     for (m, op) in bias.mosfets.iter().zip(mos_ops.iter()) {
         if let Some(d) = m.d {
             f[d] += op.id;
@@ -938,7 +892,43 @@ pub fn kcl_residual(
             f[k] -= op.id;
         }
     }
-    f
+}
+
+/// The operating points of a jig's devices, gathered by name from its
+/// bias circuit's `mos_ops` / `bjt_ops` / `diode_ops` (with duplicate
+/// names, the last bias device wins).
+///
+/// # Errors
+///
+/// [`EvalFailure::UnbiasedDevice`] for a jig device without a bias
+/// counterpart.
+pub fn jig_device_ops(
+    bias: &SizedCircuit,
+    jig: &SizedCircuit,
+    mos_ops: &[MosOp],
+    bjt_ops: &[BjtOp],
+    diode_ops: &[DiodeOp],
+) -> Result<DeviceOps, EvalFailure> {
+    fn gather<D, O: Copy>(
+        bias: &[D],
+        jig: &[D],
+        ops: &[O],
+        name: fn(&D) -> &str,
+    ) -> Result<Vec<O>, EvalFailure> {
+        jig.iter()
+            .map(|d| {
+                bias.iter()
+                    .rposition(|b| name(b) == name(d))
+                    .map(|i| ops[i])
+                    .ok_or_else(|| EvalFailure::UnbiasedDevice(name(d).to_string()))
+            })
+            .collect()
+    }
+    Ok((
+        gather(&bias.mosfets, &jig.mosfets, mos_ops, |m| &m.name)?,
+        gather(&bias.bjts, &jig.bjts, bjt_ops, |q| &q.name)?,
+        gather(&bias.diodes, &jig.diodes, diode_ops, |d| &d.name)?,
+    ))
 }
 
 #[cfg(test)]
@@ -954,6 +944,15 @@ mod tests {
         compile_source(DIFFAMP).expect("compiles")
     }
 
+    /// The free-node voltages of the Newton-solved bias point at `user`.
+    fn newton_nodes(compiled: &CompiledProblem, user: &[f64]) -> Vec<f64> {
+        let vars = compiled.var_map(user);
+        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).unwrap();
+        let op = solve_dc(&bias).unwrap();
+        let det = determined_voltages(&bias);
+        free_nodes(&det).into_iter().map(|i| op.v[i]).collect()
+    }
+
     /// Node values copied from a converged Newton solve must yield a
     /// near-zero C^dc; wild values must not.
     #[test]
@@ -961,18 +960,7 @@ mod tests {
         let compiled = setup();
         let mut ev = CostEvaluator::new(&compiled);
         let user = compiled.initial_user_values();
-        let vars = compiled.var_map(&user);
-        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).unwrap();
-        let op = solve_dc(&bias).unwrap();
-
-        // Extract the free-node voltages from the Newton solution.
-        let det = determined_voltages(&bias);
-        let node_vals: Vec<f64> = det
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| op.v[i])
-            .collect();
+        let node_vals = newton_nodes(&compiled, &user);
         assert_eq!(node_vals.len(), compiled.node_vars.len());
 
         let w = AdaptiveWeights::new(&compiled);
@@ -996,16 +984,7 @@ mod tests {
         let mut ev = CostEvaluator::new(&compiled);
         let user = compiled.initial_user_values();
         // Start from the Newton point so the AWE models are meaningful.
-        let vars = compiled.var_map(&user);
-        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).unwrap();
-        let op = solve_dc(&bias).unwrap();
-        let det = determined_voltages(&bias);
-        let node_vals: Vec<f64> = det
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| op.v[i])
-            .collect();
+        let node_vals = newton_nodes(&compiled, &user);
         let w = AdaptiveWeights::new(&compiled);
         let b = ev.try_evaluate(&user, &node_vals, &w).unwrap();
         // Goals: adm (dB), ugf (Hz), sr (V/s).

@@ -508,26 +508,6 @@ pub struct JobFile {
     pub request: JobRequest,
 }
 
-impl SynthesisOptions {
-    fn eq_fields(&self, other: &Self) -> bool {
-        self.moves_budget == other.moves_budget
-            && self.seed == other.seed
-            && self.trace_every == other.trace_every
-            && self.weight_update_every == other.weight_update_every
-            && self.points_per_decade == other.points_per_decade
-            && self.quench_patience == other.quench_patience
-            && self.awe_order == other.awe_order
-            && self.disable_newton_moves == other.disable_newton_moves
-            && self.disable_adaptive_weights == other.disable_adaptive_weights
-    }
-}
-
-impl PartialEq for SynthesisOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.eq_fields(other)
-    }
-}
-
 /// Serializes a [`JobFile`].
 pub fn job_to_json(job: &JobFile) -> String {
     ObjBuilder::new()

@@ -241,16 +241,23 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// crate writes nests a few levels; the cap keeps the recursive parser
+/// (and the drop of what it built) well inside a thread's stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing
 /// else).
 ///
 /// # Errors
 ///
-/// [`ParseError`] on malformed input.
+/// [`ParseError`] on malformed input, including arrays and objects
+/// nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -264,6 +271,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -312,11 +321,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nested too deeply"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -534,6 +556,25 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "1 2", "nul", "{\"a\":}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// Nesting past the cap is a structured error, not a stack
+    /// overflow — on a default-size spawned thread, like a server
+    /// connection's.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let err = std::thread::spawn(|| parse(&"[".repeat(100_000)).unwrap_err())
+            .join()
+            .expect("parser thread survives");
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nested too deeply"), "{err}");
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let obj = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&obj)
+            .unwrap_err()
+            .message
+            .contains("nested too deeply"));
     }
 
     #[test]

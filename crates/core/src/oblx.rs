@@ -7,24 +7,21 @@
 //! with full and partial Newton–Raphson jumps on the node voltages
 //! (paper §V.A); Hustin statistics in `oblx-anneal` decide the mix.
 
-use crate::astrx::{determined_voltages, CompiledProblem};
+use crate::astrx::CompiledProblem;
 use crate::cost::{CostBreakdown, CostEvaluator};
 use crate::weights::{AdaptiveWeights, WeightsSnapshot};
 use oblx_anneal::{
     AnnealCheckpoint, AnnealOptions, AnnealProblem, Annealer, ControlledOutcome, Directive,
     DirtySet, Trace,
 };
-use oblx_linalg::{Lu, Mat};
-use oblx_mna::{dc::linearize_at, SizedCircuit};
 use oblx_netlist::VarScale;
 use rand::{Rng, RngExt};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Synthesis run options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisOptions {
     /// Annealing move budget.
     pub moves_budget: usize,
@@ -184,16 +181,10 @@ impl<'a> OblxProblem<'a> {
         // Cold path, once per problem: label the telemetry move-class
         // slots so snapshots render real names instead of `class<i>`.
         oblx_telemetry::set_class_names(&move_class::NAMES);
+        let evaluator = CostEvaluator::with_awe_order(compiled, opts.awe_order);
         // Node-voltage exploration range: span of determined voltages
         // (the supplies) widened by a volt on each side.
-        let vars = compiled.var_map(&compiled.initial_user_values());
-        let (mut lo, mut hi) = (0.0f64, 0.0f64);
-        if let Ok(bias) = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib) {
-            for v in determined_voltages(&bias).into_iter().flatten() {
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-        }
+        let (lo, hi) = evaluator.determined_span();
         let grid_steps = compiled
             .user_vars
             .iter()
@@ -207,7 +198,7 @@ impl<'a> OblxProblem<'a> {
             .collect();
         OblxProblem {
             compiled,
-            evaluator: CostEvaluator::with_awe_order(compiled, opts.awe_order),
+            evaluator,
             weights: AdaptiveWeights::new(compiled),
             opts,
             evals: 0,
@@ -262,40 +253,11 @@ impl<'a> OblxProblem<'a> {
         self.clamp_user(i, value)
     }
 
-    /// Newton–Raphson move on node voltages: solve the free-node block
-    /// of `J·Δ = −F` at the current configuration.
-    fn newton_move(&self, state: &OblxState, alpha: f64) -> Option<OblxState> {
-        let vars = self.compiled.var_map(&state.user);
-        let bias =
-            SizedCircuit::build(&self.compiled.bias_netlist, &vars, &self.compiled.lib).ok()?;
-        let det = determined_voltages(&bias);
-        let mut x = vec![0.0; bias.dim()];
-        let mut free = Vec::new();
-        let mut fi = 0usize;
-        for (i, dv) in det.iter().enumerate() {
-            match dv {
-                Some(v) => x[i] = *v,
-                None => {
-                    x[i] = state.nodes.get(fi).copied().unwrap_or(0.0);
-                    free.push(i);
-                    fi += 1;
-                }
-            }
-        }
-        let (jac, f) = linearize_at(&bias, &x, 1.0, 1e-12);
-        let nf = free.len();
-        if nf == 0 {
-            return None;
-        }
-        let mut jff = Mat::zeros(nf, nf);
-        let mut rhs = vec![0.0; nf];
-        for (r, &nr) in free.iter().enumerate() {
-            rhs[r] = -f[nr];
-            for (c, &nc) in free.iter().enumerate() {
-                jff[(r, c)] = jac.get(nr, nc);
-            }
-        }
-        let delta = Lu::factor(jff).ok()?.solve(&rhs);
+    /// Newton–Raphson move on node voltages: a step of `alpha` times
+    /// the evaluator's Newton step, clamped to ±1 V per node and to the
+    /// node range.
+    fn newton_move(&mut self, state: &OblxState, alpha: f64) -> Option<OblxState> {
+        let delta = self.evaluator.newton_step(&state.user, &state.nodes)?;
         let mut next = state.clone();
         for (k, d) in delta.iter().enumerate() {
             let step = (alpha * d).clamp(-1.0, 1.0);
@@ -823,11 +785,6 @@ where
         }),
         None => Err(first_err.expect("no best implies at least one error")),
     }
-}
-
-/// The user-variable assignment of a state, as a map.
-pub fn state_vars(compiled: &CompiledProblem, state: &OblxState) -> HashMap<String, f64> {
-    compiled.var_map(&state.user)
 }
 
 /// Evaluates a configuration under the *frozen end-of-run* weight set

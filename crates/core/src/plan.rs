@@ -24,14 +24,17 @@
 //! Every structural precondition of the plan is checked by
 //! [`crate::astrx::compile`], so a compiled problem always has a plan.
 //!
-//! A [`Slot`] is one materialized configuration: the bound circuits,
-//! device operating points, KCL residual, and AWE models for a specific
-//! `(user, nodes)` vector pair. The evaluator keeps two slots and diffs
+//! A [`Slot`] is one materialized configuration for a specific
+//! `(user, nodes)` vector pair: a [`BiasSlot`] (the bound bias circuit,
+//! device operating points, KCL matrix and residual) plus the jigs and
+//! AWE models derived from it. The evaluator keeps two slots and diffs
 //! a proposed state against one of them by bitwise comparison. A state
 //! seen before is rescored from its slot (only the weighted sum is
 //! recomputed); any other state goes through [`Slot::update`], which
 //! recomputes a dirty set of bindings, devices, and jigs — everything
-//! when nothing in the slot can be reused.
+//! when nothing in the slot can be reused. The Newton move runs on a
+//! third, bias-only slot ([`BiasSlot::newton_step`]) with the same
+//! dirty-set rule, stamping its Jacobian from the slot's device ops.
 //!
 //! Invariant: every numeric result produced through a plan is
 //! **bit-identical** to the reference evaluation, because both run the
@@ -42,12 +45,15 @@
 //! a dense stamp, and a fresh engine derives the same pivot order from
 //! the same pattern. Debug builds verify this on every evaluation.
 
-use crate::astrx::{determined_voltages, CompiledProblem};
-use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
+use crate::astrx::{determined_voltages, fill_bias_vector, free_nodes, CompiledProblem};
+use crate::cost::{
+    add_device_currents, area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource,
+};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::{AweEngine, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp};
-use oblx_linalg::Mat;
+use oblx_linalg::{Lu, Mat};
+use oblx_mna::dc::linearize_with_ops;
 use oblx_mna::{LinElement, LinearSystem, OutputSelector, SizedCircuit};
 use oblx_netlist::{ElementKind, EvalContext, EvalError, Expr, Netlist};
 
@@ -226,17 +232,11 @@ struct JigPlan {
 impl JigPlan {
     /// `true` when re-evaluating this jig is required for the given
     /// dirty variables / dirty bias devices.
-    fn dirty(
-        &self,
-        dirty_user: &[bool],
-        mos_dirty: &[bool],
-        bjt_dirty: &[bool],
-        diode_dirty: &[bool],
-    ) -> bool {
-        self.bindings.iter().any(|b| b.dirty(dirty_user))
-            || self.mos_bind.iter().any(|&i| mos_dirty[i])
-            || self.bjt_bind.iter().any(|&i| bjt_dirty[i])
-            || self.diode_bind.iter().any(|&i| diode_dirty[i])
+    fn dirty(&self, dirt: &BiasDirt) -> bool {
+        self.bindings.iter().any(|b| b.dirty(&dirt.user))
+            || self.mos_bind.iter().any(|&i| dirt.mos[i])
+            || self.bjt_bind.iter().any(|&i| dirt.bjt[i])
+            || self.diode_bind.iter().any(|&i| dirt.diode[i])
     }
 }
 
@@ -257,7 +257,8 @@ pub(crate) struct EvalPlan {
     /// Analysis handles, parallel to [`Slot::models`].
     analysis_names: Vec<String>,
     jigs: Vec<JigPlan>,
-    bias_template: SizedCircuit,
+    /// The bias circuit at the initial point.
+    pub(crate) bias_template: SizedCircuit,
     awe_order: usize,
 }
 
@@ -278,12 +279,7 @@ impl EvalPlan {
         let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib)
             .expect("compile assembled the bias circuit at the initial point");
         let det = determined_voltages(&bias);
-        let free_nodes: Vec<usize> = det
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| i)
-            .collect();
+        let free_nodes = free_nodes(&det);
         let bias_bindings = bindings_for(&compiled.bias_netlist, &bias, &user_names);
         let mut bias_linear_var = vec![false; user_names.len()];
         for b in &bias_bindings {
@@ -299,30 +295,8 @@ impl EvalPlan {
         // systems matters — every slot re-stamps its engine's values
         // before use.
         let mut x = vec![0.0; bias.dim()];
-        for (i, dv) in det.iter().enumerate() {
-            if let Some(v) = dv {
-                x[i] = *v;
-            }
-        }
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        let mos_ops: Vec<MosOp> = bias
-            .mosfets
-            .iter()
-            .map(|m| {
-                m.model
-                    .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b))
-            })
-            .collect();
-        let bjt_ops: Vec<BjtOp> = bias
-            .bjts
-            .iter()
-            .map(|q| q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e)))
-            .collect();
-        let diode_ops: Vec<DiodeOp> = bias
-            .diodes
-            .iter()
-            .map(|d| d.model.op(d.area, volt(d.a) - volt(d.k)))
-            .collect();
+        fill_bias_vector(&det, &[], &mut x);
+        let (mos_ops, bjt_ops, diode_ops) = bias.device_ops(&x);
 
         let mut jigs: Vec<JigPlan> = Vec::new();
         // Source netlists parallel to `jigs`, for structural dedup.
@@ -564,19 +538,25 @@ struct JigSlot {
     diode_ops: Vec<DiodeOp>,
 }
 
-/// One materialized configuration: everything derived from a specific
-/// `(user, nodes)` pair. `valid == false` means a previous update
-/// failed partway and nothing here may be reused; the next update then
-/// recomputes everything (which rewrites every bound value).
+/// Which parts of the state a bias update changed, for the jig step.
+struct BiasDirt {
+    user: Vec<bool>,
+    mos: Vec<bool>,
+    bjt: Vec<bool>,
+    diode: Vec<bool>,
+}
+
+/// The bias half of a slot: everything the KCL residual and the Newton
+/// move read for a specific `(user, nodes)` pair. `valid == false`
+/// means a previous update failed partway and nothing here may be
+/// reused; the next update then recomputes everything (which rewrites
+/// every bound value).
 #[derive(Debug, Clone)]
-pub(crate) struct Slot {
+pub(crate) struct BiasSlot {
     valid: bool,
-    /// LRU clock stamp, maintained by the evaluator.
-    pub(crate) stamp: u64,
     user: Vec<f64>,
     nodes: Vec<f64>,
-    bias: SizedCircuit,
-    det: Vec<Option<f64>>,
+    ckt: SizedCircuit,
     x: Vec<f64>,
     mos_ops: Vec<MosOp>,
     bjt_ops: Vec<BjtOp>,
@@ -587,51 +567,29 @@ pub(crate) struct Slot {
     kcl_g: Mat<f64>,
     kcl_rhs: Vec<f64>,
     residual: Vec<f64>,
-    jigs: Vec<JigSlot>,
-    /// AWE models in flat analysis order. All `Some` once any update
-    /// has completed (`valid == true`).
-    models: Vec<Option<ReducedModel>>,
 }
 
-impl Slot {
-    pub(crate) fn new(plan: &EvalPlan) -> Slot {
-        let bias = &plan.bias_template;
-        let dim = bias.dim();
-        Slot {
+impl BiasSlot {
+    pub(crate) fn new(plan: &EvalPlan) -> BiasSlot {
+        let ckt = &plan.bias_template;
+        let dim = ckt.dim();
+        BiasSlot {
             valid: false,
-            stamp: 0,
             user: Vec::new(),
             nodes: Vec::new(),
-            bias: bias.clone(),
-            det: Vec::new(),
+            ckt: ckt.clone(),
             x: vec![0.0; dim],
-            mos_ops: vec![MosOp::default(); bias.mosfets.len()],
-            bjt_ops: vec![BjtOp::default(); bias.bjts.len()],
-            diode_ops: vec![DiodeOp::default(); bias.diodes.len()],
+            mos_ops: vec![MosOp::default(); ckt.mosfets.len()],
+            bjt_ops: vec![BjtOp::default(); ckt.bjts.len()],
+            diode_ops: vec![DiodeOp::default(); ckt.diodes.len()],
             kcl_g: Mat::zeros(dim, dim),
             kcl_rhs: vec![0.0; dim],
             residual: vec![0.0; dim],
-            jigs: plan
-                .jigs
-                .iter()
-                .map(|j| JigSlot {
-                    ckt: j.ckt_template.clone(),
-                    engine: j.engine_template.clone(),
-                    mos_ops: Vec::new(),
-                    bjt_ops: Vec::new(),
-                    diode_ops: Vec::new(),
-                })
-                .collect(),
-            models: vec![None; plan.analysis_names.len()],
         }
     }
 
-    pub(crate) fn valid(&self) -> bool {
-        self.valid
-    }
-
     /// `true` when the slot holds exactly this state (bitwise).
-    pub(crate) fn matches(&self, user: &[f64], nodes: &[f64]) -> bool {
+    fn matches(&self, user: &[f64], nodes: &[f64]) -> bool {
         self.valid
             && self.user.len() == user.len()
             && self.nodes.len() == nodes.len()
@@ -651,14 +609,14 @@ impl Slot {
     /// everything: the slot is invalid, the node count differs, or a
     /// changed user variable feeds a linear bias element (which moves
     /// the determined-voltage tree and the KCL matrix).
-    pub(crate) fn needs_full(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
+    fn needs_full(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
         !self.valid || self.nodes.len() != nodes.len() || !plan.incremental_ok(&self.user, user)
     }
 
-    /// Brings the slot to `(user, nodes)` by recomputing a dirty set:
-    /// the bindings of changed variables, the devices whose geometry or
-    /// terminal voltages changed, and the jigs that read either. `full`
-    /// (= [`Slot::needs_full`] for this proposal) makes everything
+    /// Brings the bias half to `(user, nodes)` by recomputing a dirty
+    /// set: the bindings of changed variables and the devices whose
+    /// geometry or terminal voltages changed. `full` (=
+    /// [`BiasSlot::needs_full`] for this proposal) makes everything
     /// dirty and also rebuilds the determined voltages and restamps
     /// the KCL matrix. Clean parts keep their values: their inputs are
     /// bitwise identical to when they were last computed.
@@ -666,13 +624,13 @@ impl Slot {
     /// The residual is always recomputed in full from the KCL matrix —
     /// incremental column updates would accumulate floating-point drift
     /// and break bit-identity with the reference evaluation.
-    pub(crate) fn update(
+    fn update(
         &mut self,
         plan: &EvalPlan,
         user: &[f64],
         nodes: &[f64],
         full: bool,
-    ) -> Result<(), EvalFailure> {
+    ) -> Result<BiasDirt, EvalFailure> {
         debug_assert_eq!(full, self.needs_full(plan, user, nodes));
         let dirty_user: Vec<bool> = if full {
             vec![true; user.len()]
@@ -703,12 +661,12 @@ impl Slot {
         };
         // 1. Dirty bias bindings. Linear targets appear only in the
         //    full case, whose device flags start all set.
-        let mut mos_dirty = vec![full; self.bias.mosfets.len()];
-        let mut bjt_dirty = vec![full; self.bias.bjts.len()];
-        let mut diode_dirty = vec![full; self.bias.diodes.len()];
+        let mut mos_dirty = vec![full; self.ckt.mosfets.len()];
+        let mut bjt_dirty = vec![full; self.ckt.bjts.len()];
+        let mut diode_dirty = vec![full; self.ckt.diodes.len()];
         for b in &plan.bias_bindings {
             if b.dirty(&dirty_user) {
-                b.apply(&mut self.bias, &ctx)?;
+                b.apply(&mut self.ckt, &ctx)?;
                 match b.target {
                     BindTarget::MosW(i) | BindTarget::MosL(i) => mos_dirty[i] = true,
                     BindTarget::BjtArea(i) => bjt_dirty[i] = true,
@@ -720,31 +678,14 @@ impl Slot {
         // 2. Bias node voltages: the whole vector in the full case,
         //    otherwise the changed free nodes plus the devices on them.
         if full {
-            self.det = determined_voltages(&self.bias);
+            let det = determined_voltages(&self.ckt);
             debug_assert!(
-                self.det
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.is_none())
-                    .map(|(i, _)| i)
-                    .eq(plan.free_nodes.iter().copied()),
+                free_nodes(&det) == plan.free_nodes,
                 "free-node pattern must be value-independent"
             );
-            for v in self.x.iter_mut() {
-                *v = 0.0;
-            }
-            let mut free_i = 0usize;
-            for (i, dv) in self.det.iter().enumerate() {
-                match dv {
-                    Some(v) => self.x[i] = *v,
-                    None => {
-                        self.x[i] = nodes.get(free_i).copied().unwrap_or(0.0);
-                        free_i += 1;
-                    }
-                }
-            }
+            fill_bias_vector(&det, nodes, &mut self.x);
         } else {
-            let mut node_changed = vec![false; self.bias.nodes.len()];
+            let mut node_changed = vec![false; self.ckt.nodes.len()];
             for (k, &ni) in plan.free_nodes.iter().enumerate() {
                 if k < dirty_node.len() && dirty_node[k] {
                     self.x[ni] = nodes[k];
@@ -752,109 +693,193 @@ impl Slot {
                 }
             }
             let moved = |n: Option<usize>| n.is_some_and(|i| node_changed[i]);
-            for (i, m) in self.bias.mosfets.iter().enumerate() {
+            for (i, m) in self.ckt.mosfets.iter().enumerate() {
                 mos_dirty[i] |= moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b);
             }
-            for (i, q) in self.bias.bjts.iter().enumerate() {
+            for (i, q) in self.ckt.bjts.iter().enumerate() {
                 bjt_dirty[i] |= moved(q.c) || moved(q.b) || moved(q.e);
             }
-            for (i, d) in self.bias.diodes.iter().enumerate() {
+            for (i, d) in self.ckt.diodes.iter().enumerate() {
                 diode_dirty[i] |= moved(d.a) || moved(d.k);
             }
         }
         // 3. Re-evaluate dirty devices; operating points are pure
         //    functions of geometry and terminal voltages.
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| self.x[i]);
-        for (i, m) in self.bias.mosfets.iter().enumerate() {
+        for (i, m) in self.ckt.mosfets.iter().enumerate() {
             if mos_dirty[i] {
-                self.mos_ops[i] = m
-                    .model
-                    .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
+                self.mos_ops[i] = m.op_at(&self.x);
             }
         }
-        for (i, q) in self.bias.bjts.iter().enumerate() {
+        for (i, q) in self.ckt.bjts.iter().enumerate() {
             if bjt_dirty[i] {
-                self.bjt_ops[i] = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
+                self.bjt_ops[i] = q.op_at(&self.x);
             }
         }
-        for (i, d) in self.bias.diodes.iter().enumerate() {
+        for (i, d) in self.ckt.diodes.iter().enumerate() {
             if diode_dirty[i] {
-                self.diode_ops[i] = d.model.op(d.area, volt(d.a) - volt(d.k));
+                self.diode_ops[i] = d.op_at(&self.x);
             }
         }
-        // 4. Residual, after restamping the KCL linear part (unit
-        //    source scale, identical stamp order to
-        //    `cost::kcl_residual`) when linear values may have moved.
+        // 4. Residual `f = G·x − rhs + device currents`, after
+        //    restamping the KCL linear part (unit source scale,
+        //    identical arithmetic and order to `cost::kcl_residual`)
+        //    when linear values may have moved.
         if full {
-            let n = self.bias.nodes.len();
+            let n = self.ckt.nodes.len();
             self.kcl_g.clear();
-            for r in self.kcl_rhs.iter_mut() {
-                *r = 0.0;
-            }
-            for el in &self.bias.linear {
+            self.kcl_rhs.fill(0.0);
+            for el in &self.ckt.linear {
                 el.stamp_dc(&mut self.kcl_g, &mut self.kcl_rhs, n, 1.0);
             }
         }
-        self.recompute_residual();
-        // 5. Jigs intersecting the dirty set: rebind, restamp, re-AWE.
-        let Slot {
-            jigs,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            models,
-            ..
-        } = self;
-        for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            if !full && !jp.dirty(&dirty_user, &mos_dirty, &bjt_dirty, &diode_dirty) {
-                continue;
-            }
-            for b in &jp.bindings {
-                if b.dirty(&dirty_user) {
-                    b.apply(&mut js.ckt, &ctx)?;
-                }
-            }
-            js.rerun(jp, mos_ops, bjt_ops, diode_ops, models, plan.awe_order)?;
-        }
-        self.valid = true;
-        Ok(())
-    }
-
-    /// `f = G·x − rhs + device currents`, identical arithmetic and
-    /// order to [`crate::cost::kcl_residual`].
-    fn recompute_residual(&mut self) {
         self.kcl_g.mul_vec_into(&self.x, &mut self.residual);
         for (fi, r) in self.residual.iter_mut().zip(self.kcl_rhs.iter()) {
             *fi -= r;
         }
-        let f = &mut self.residual;
-        for (m, op) in self.bias.mosfets.iter().zip(self.mos_ops.iter()) {
-            if let Some(d) = m.d {
-                f[d] += op.id;
-            }
-            if let Some(s) = m.s {
-                f[s] -= op.id;
+        add_device_currents(
+            &self.ckt,
+            &mut self.residual,
+            &self.mos_ops,
+            &self.bjt_ops,
+            &self.diode_ops,
+        );
+        self.valid = true;
+        Ok(BiasDirt {
+            user: dirty_user,
+            mos: mos_dirty,
+            bjt: bjt_dirty,
+            diode: diode_dirty,
+        })
+    }
+
+    /// The Newton–Raphson step on the free nodes at `(user, nodes)`:
+    /// brings the slot there by the same dirty-set rule as
+    /// [`BiasSlot::update`], then solves the free-node block of
+    /// `J·Δ = −F`, with `J` and `F` stamped from the slot's device ops
+    /// exactly as [`oblx_mna::dc::linearize_at`] would at
+    /// `gmin = 1e-12`. `None` when a binding fails, there are no free
+    /// nodes, or the block is singular.
+    pub(crate) fn newton_step(
+        &mut self,
+        plan: &EvalPlan,
+        user: &[f64],
+        nodes: &[f64],
+    ) -> Option<Vec<f64>> {
+        let full = self.needs_full(plan, user, nodes);
+        self.update(plan, user, nodes, full).ok()?;
+        let free = &plan.free_nodes;
+        if free.is_empty() {
+            return None;
+        }
+        let (jac, f) = linearize_with_ops(
+            &self.ckt,
+            &self.x,
+            &self.kcl_g,
+            &self.kcl_rhs,
+            &self.mos_ops,
+            &self.bjt_ops,
+            &self.diode_ops,
+            1e-12,
+        );
+        let nf = free.len();
+        let mut jff = Mat::zeros(nf, nf);
+        let mut rhs = vec![0.0; nf];
+        for (r, &nr) in free.iter().enumerate() {
+            rhs[r] = -f[nr];
+            for (c, &nc) in free.iter().enumerate() {
+                jff[(r, c)] = jac.get(nr, nc);
             }
         }
-        for (q, op) in self.bias.bjts.iter().zip(self.bjt_ops.iter()) {
-            if let Some(c) = q.c {
-                f[c] += op.ic;
-            }
-            if let Some(b) = q.b {
-                f[b] += op.ib;
-            }
-            if let Some(e) = q.e {
-                f[e] -= op.ic + op.ib;
-            }
+        Some(Lu::factor(jff).ok()?.solve(&rhs))
+    }
+}
+
+/// One materialized configuration: the bias half plus the jigs and AWE
+/// models derived from it. The slot is valid only as a whole, so a jig
+/// failure invalidates the bias half too.
+#[derive(Debug, Clone)]
+pub(crate) struct Slot {
+    /// LRU clock stamp, maintained by the evaluator.
+    pub(crate) stamp: u64,
+    bias: BiasSlot,
+    jigs: Vec<JigSlot>,
+    /// AWE models in flat analysis order. All `Some` once any update
+    /// has completed (the slot is valid).
+    models: Vec<Option<ReducedModel>>,
+}
+
+impl Slot {
+    pub(crate) fn new(plan: &EvalPlan) -> Slot {
+        Slot {
+            stamp: 0,
+            bias: BiasSlot::new(plan),
+            jigs: plan
+                .jigs
+                .iter()
+                .map(|j| JigSlot {
+                    ckt: j.ckt_template.clone(),
+                    engine: j.engine_template.clone(),
+                    mos_ops: Vec::new(),
+                    bjt_ops: Vec::new(),
+                    diode_ops: Vec::new(),
+                })
+                .collect(),
+            models: vec![None; plan.analysis_names.len()],
         }
-        for (d, op) in self.bias.diodes.iter().zip(self.diode_ops.iter()) {
-            if let Some(a) = d.a {
-                f[a] += op.id;
+    }
+
+    pub(crate) fn valid(&self) -> bool {
+        self.bias.valid
+    }
+
+    /// `true` when the slot holds exactly this state (bitwise).
+    pub(crate) fn matches(&self, user: &[f64], nodes: &[f64]) -> bool {
+        self.bias.matches(user, nodes)
+    }
+
+    /// [`BiasSlot::needs_full`] of the bias half.
+    pub(crate) fn needs_full(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
+        self.bias.needs_full(plan, user, nodes)
+    }
+
+    /// Brings the slot to `(user, nodes)`: [`BiasSlot::update`], then
+    /// the jigs that read a dirty variable or device are rebound,
+    /// restamped and re-analyzed (every jig when `full`).
+    pub(crate) fn update(
+        &mut self,
+        plan: &EvalPlan,
+        user: &[f64],
+        nodes: &[f64],
+        full: bool,
+    ) -> Result<(), EvalFailure> {
+        let dirt = self.bias.update(plan, user, nodes, full)?;
+        // Invalid until every jig has been rerun.
+        self.bias.valid = false;
+        let ctx = VarsCtx {
+            names: &plan.user_names,
+            values: user,
+        };
+        let bias = &self.bias;
+        for (jp, js) in plan.jigs.iter().zip(self.jigs.iter_mut()) {
+            if !full && !jp.dirty(&dirt) {
+                continue;
             }
-            if let Some(k) = d.k {
-                f[k] -= op.id;
+            for b in &jp.bindings {
+                if b.dirty(&dirt.user) {
+                    b.apply(&mut js.ckt, &ctx)?;
+                }
             }
+            js.rerun(
+                jp,
+                &bias.mos_ops,
+                &bias.bjt_ops,
+                &bias.diode_ops,
+                &mut self.models,
+                plan.awe_order,
+            )?;
         }
+        self.bias.valid = true;
+        Ok(())
     }
 }
 
@@ -915,8 +940,7 @@ impl JigSlot {
 /// resolution done by linear scans over precompiled tables instead of
 /// freshly built hash maps.
 struct PlanCtx<'a> {
-    user_names: &'a [String],
-    user: &'a [f64],
+    vars: VarsCtx<'a>,
     bias: &'a SizedCircuit,
     residual: &'a [f64],
     mos_ops: &'a [MosOp],
@@ -949,11 +973,7 @@ impl MeasureSource for PlanCtx<'_> {
 
 impl EvalContext for PlanCtx<'_> {
     fn lookup_var(&self, name: &str) -> Result<f64, EvalError> {
-        self.user_names
-            .iter()
-            .rposition(|n| n == name)
-            .map(|i| self.user[i])
-            .ok_or_else(|| EvalError::UnknownVar(name.to_string()))
+        self.vars.lookup_var(name)
     }
 
     fn lookup_path(&self, path: &[String]) -> Result<f64, EvalError> {
@@ -1002,15 +1022,17 @@ pub(crate) fn score_slot(
     weights: &AdaptiveWeights,
     user: &[f64],
 ) -> Result<CostBreakdown, EvalFailure> {
-    debug_assert!(slot.valid, "scoring an invalid slot");
+    debug_assert!(slot.valid(), "scoring an invalid slot");
     let ctx = PlanCtx {
-        user_names: &plan.user_names,
-        user,
-        bias: &slot.bias,
-        residual: &slot.residual,
-        mos_ops: &slot.mos_ops,
-        bjt_ops: &slot.bjt_ops,
-        diode_ops: &slot.diode_ops,
+        vars: VarsCtx {
+            names: &plan.user_names,
+            values: user,
+        },
+        bias: &slot.bias.ckt,
+        residual: &slot.bias.residual,
+        mos_ops: &slot.bias.mos_ops,
+        bjt_ops: &slot.bias.bjt_ops,
+        diode_ops: &slot.bias.diode_ops,
         analysis_names: &plan.analysis_names,
         models: &slot.models,
     };
@@ -1018,11 +1040,11 @@ pub(crate) fn score_slot(
         compiled,
         weights,
         &ctx,
-        &slot.bias.mosfets,
-        &slot.mos_ops,
-        &slot.bjt_ops,
+        &slot.bias.ckt.mosfets,
+        &slot.bias.mos_ops,
+        &slot.bias.bjt_ops,
         &plan.free_nodes,
-        &slot.residual,
+        &slot.bias.residual,
     )
 }
 

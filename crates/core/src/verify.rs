@@ -8,8 +8,8 @@
 //! `OBLX prediction / simulation` pairs the paper uses to demonstrate
 //! accuracy.
 
-use crate::astrx::CompiledProblem;
-use crate::cost::EvalFailure;
+use crate::astrx::{determined_voltages, fill_bias_vector, CompiledProblem};
+use crate::cost::{area_of, jig_device_ops, EvalFailure};
 use crate::oblx::{OblxState, SynthesisResult};
 use oblx_mna::{ac, solve_dc_with, DcOptions, LinearSystem, OpPoint, SizedCircuit};
 use oblx_netlist::{builtin_call, EvalContext, EvalError, Expr};
@@ -182,19 +182,9 @@ pub fn verify_design_with(
     perturb(&mut bias);
 
     // Full Newton solve, warm-started from the annealed node voltages.
-    let det = crate::astrx::determined_voltages(&bias);
+    let det = determined_voltages(&bias);
     let mut x0 = vec![0.0; bias.dim()];
-    let mut fi = 0usize;
-    for (i, dv) in det.iter().enumerate() {
-        x0[i] = match dv {
-            Some(v) => *v,
-            None => {
-                let v = state.nodes.get(fi).copied().unwrap_or(0.0);
-                fi += 1;
-                v
-            }
-        };
-    }
+    fill_bias_vector(&det, &state.nodes, &mut x0);
     // BSIM-style models carry numeric derivatives, so the achievable
     // Newton floor is looser than for analytic level-1; 10 nA residual
     // is far below any measured quantity's sensitivity.
@@ -207,25 +197,6 @@ pub fn verify_design_with(
         .map_err(|e| EvalFailure::Build(format!("bias solve: {e}")))?;
 
     // Jig systems at the solved operating point.
-    let mos_by_name: HashMap<&str, usize> = bias
-        .mosfets
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (m.name.as_str(), i))
-        .collect();
-    let bjt_by_name: HashMap<&str, usize> = bias
-        .bjts
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (q.name.as_str(), i))
-        .collect();
-    let diode_by_name: HashMap<&str, usize> = bias
-        .diodes
-        .iter()
-        .enumerate()
-        .map(|(i, d)| (d.name.as_str(), i))
-        .collect();
-
     let mut systems = HashMap::new();
     for jig in &compiled.jigs {
         if jig.analyses.is_empty() {
@@ -234,36 +205,8 @@ pub fn verify_design_with(
         let mut ckt = SizedCircuit::build(&jig.netlist, &vars, &compiled.lib)
             .map_err(|e| EvalFailure::Build(e.to_string()))?;
         perturb(&mut ckt);
-        let jig_mos: Vec<_> = ckt
-            .mosfets
-            .iter()
-            .map(|m| {
-                mos_by_name
-                    .get(m.name.as_str())
-                    .map(|&i| op.mos_ops[i])
-                    .ok_or_else(|| EvalFailure::UnbiasedDevice(m.name.clone()))
-            })
-            .collect::<Result<_, _>>()?;
-        let jig_bjt: Vec<_> = ckt
-            .bjts
-            .iter()
-            .map(|q| {
-                bjt_by_name
-                    .get(q.name.as_str())
-                    .map(|&i| op.bjt_ops[i])
-                    .ok_or_else(|| EvalFailure::UnbiasedDevice(q.name.clone()))
-            })
-            .collect::<Result<_, _>>()?;
-        let jig_diode: Vec<_> = ckt
-            .diodes
-            .iter()
-            .map(|d| {
-                diode_by_name
-                    .get(d.name.as_str())
-                    .map(|&i| op.diode_ops[i])
-                    .ok_or_else(|| EvalFailure::UnbiasedDevice(d.name.clone()))
-            })
-            .collect::<Result<_, _>>()?;
+        let (jig_mos, jig_bjt, jig_diode) =
+            jig_device_ops(&bias, &ckt, &op.mos_ops, &op.bjt_ops, &op.diode_ops)?;
         let sys = LinearSystem::from_device_ops(&ckt, &jig_mos, &jig_bjt, &jig_diode);
         for a in &jig.analyses {
             let out = sys
@@ -274,8 +217,7 @@ pub fn verify_design_with(
     }
 
     let power = op.static_power(&bias);
-    let area: f64 = bias.mosfets.iter().map(|m| m.w * m.l).sum::<f64>()
-        + bias.bjts.iter().map(|q| q.area * 500e-12).sum::<f64>();
+    let area = area_of(&bias);
     let ctx = SimContext {
         vars: &vars,
         op: &op,

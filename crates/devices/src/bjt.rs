@@ -185,11 +185,6 @@ impl BjtModel {
         &self.name
     }
 
-    /// `true` for NPN.
-    pub fn is_npn(&self) -> bool {
-        self.npn
-    }
-
     /// The underlying parameter set.
     pub fn params(&self) -> &BjtParams {
         &self.params

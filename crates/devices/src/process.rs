@@ -37,14 +37,6 @@ impl ProcessDeck {
         }
     }
 
-    /// Minimum drawn channel length for the deck (m).
-    pub fn lmin(self) -> f64 {
-        match self {
-            ProcessDeck::C2Level1 | ProcessDeck::C2Bsim | ProcessDeck::BicmosC2 => 2.0e-6,
-            ProcessDeck::C12Bsim | ProcessDeck::C12Level3 => 1.2e-6,
-        }
-    }
-
     /// The `.model` cards of the deck.
     pub fn cards(self) -> Vec<ModelCard> {
         match self {

@@ -230,11 +230,6 @@ impl<T: Scalar> Mat<T> {
         &self.data
     }
 
-    /// Maximum magnitude over all entries (∞-norm of the data).
-    pub fn max_magnitude(&self) -> f64 {
-        self.data.iter().map(|x| x.magnitude()).fold(0.0, f64::max)
-    }
-
     /// Returns `true` if any entry is NaN or infinite.
     pub fn has_bad_values(&self) -> bool {
         self.data.iter().any(|x| x.is_bad())

@@ -3,7 +3,9 @@
 
 use crate::elements::{LinElement, Node};
 use crate::nodemap::NodeMap;
-use oblx_devices::{BjtModel, DiodeModel, ModelError, ModelLibrary, MosModel};
+use oblx_devices::{
+    BjtModel, BjtOp, DiodeModel, DiodeOp, ModelError, ModelLibrary, MosModel, MosOp,
+};
 use oblx_netlist::{ElementKind, EvalError, Netlist, ParseError};
 use std::collections::HashMap;
 use std::error::Error;
@@ -66,6 +68,39 @@ pub struct BjtInstance {
     pub e: Node,
     /// Emitter-area multiplier.
     pub area: f64,
+}
+
+/// Operating points of a circuit's devices, in `mosfets` / `bjts` /
+/// `diodes` order.
+pub type DeviceOps = (Vec<MosOp>, Vec<BjtOp>, Vec<DiodeOp>);
+
+/// Voltage of `node` in the MNA vector `x` (ground is 0 V).
+fn volt(x: &[f64], node: Node) -> f64 {
+    node.map_or(0.0, |i| x[i])
+}
+
+impl MosInstance {
+    /// Operating point at the node voltages of the MNA vector `x`.
+    pub fn op_at(&self, x: &[f64]) -> MosOp {
+        let v = |n: Node| volt(x, n);
+        self.model
+            .op(self.w, self.l, v(self.d), v(self.g), v(self.s), v(self.b))
+    }
+}
+
+impl DiodeInstance {
+    /// Operating point at the node voltages of the MNA vector `x`.
+    pub fn op_at(&self, x: &[f64]) -> DiodeOp {
+        self.model.op(self.area, volt(x, self.a) - volt(x, self.k))
+    }
+}
+
+impl BjtInstance {
+    /// Operating point at the node voltages of the MNA vector `x`.
+    pub fn op_at(&self, x: &[f64]) -> BjtOp {
+        let v = |n: Node| volt(x, n);
+        self.model.op(self.area, v(self.c), v(self.b), v(self.e))
+    }
 }
 
 /// Error assembling a circuit.
@@ -159,6 +194,15 @@ impl SizedCircuit {
     /// Total MNA dimension: nodes + branch currents.
     pub fn dim(&self) -> usize {
         self.nodes.len() + self.branches
+    }
+
+    /// Operating points of every device at the MNA vector `x`.
+    pub fn device_ops(&self, x: &[f64]) -> DeviceOps {
+        (
+            self.mosfets.iter().map(|m| m.op_at(x)).collect(),
+            self.bjts.iter().map(|q| q.op_at(x)).collect(),
+            self.diodes.iter().map(|d| d.op_at(x)).collect(),
+        )
     }
 
     /// Number of circuit elements (linear + devices), the paper's

@@ -4,8 +4,8 @@
 //! This is the CPU cost the relaxed-dc formulation amortizes away: a
 //! full solve here runs tens of Newton iterations, each of which builds
 //! and factors the Jacobian. OBLX instead *anneals* Kirchhoff
-//! correctness, calling into [`linearize_at`] only for its occasional
-//! gradient-directed moves.
+//! correctness, calling into [`linearize_with_ops`] only for its
+//! occasional gradient-directed moves.
 
 use crate::assemble::SizedCircuit;
 use crate::elements::{stamp, stamp_vec};
@@ -145,8 +145,6 @@ impl OpPoint {
 
 /// One Newton linearization of the full nonlinear system at voltages
 /// `x`: returns the Jacobian and residual, i.e. `J·Δ = −F`.
-///
-/// Exposed publicly because OBLX's relaxed-dc Newton moves reuse it.
 pub fn linearize_at(
     circuit: &SizedCircuit,
     x: &[f64],
@@ -155,15 +153,36 @@ pub fn linearize_at(
 ) -> (Mat<f64>, Vec<f64>) {
     let n = circuit.nodes.len();
     let dim = circuit.dim();
-    let mut jac = Mat::zeros(dim, dim);
-    let mut f = vec![0.0; dim];
-
-    // Linear elements: G·x − rhs contributes to F; G contributes to J.
     let mut g = Mat::zeros(dim, dim);
     let mut rhs = vec![0.0; dim];
     for el in &circuit.linear {
         el.stamp_dc(&mut g, &mut rhs, n, src_scale);
     }
+    let (mos_ops, bjt_ops, diode_ops) = circuit.device_ops(x);
+    linearize_with_ops(circuit, x, &g, &rhs, &mos_ops, &bjt_ops, &diode_ops, gmin)
+}
+
+/// The Jacobian and residual of [`linearize_at`] from parts the caller
+/// already holds: the linear stamp `g`/`rhs` (at the wanted source
+/// scale) and the device operating points at `x`. OBLX's relaxed-dc
+/// Newton moves call this with the ops their evaluation plan already
+/// holds, so a move re-evaluates only the devices it touched.
+#[allow(clippy::too_many_arguments)]
+pub fn linearize_with_ops(
+    circuit: &SizedCircuit,
+    x: &[f64],
+    g: &Mat<f64>,
+    rhs: &[f64],
+    mos_ops: &[MosOp],
+    bjt_ops: &[BjtOp],
+    diode_ops: &[DiodeOp],
+    gmin: f64,
+) -> (Mat<f64>, Vec<f64>) {
+    let dim = circuit.dim();
+    let mut jac = Mat::zeros(dim, dim);
+    let mut f = vec![0.0; dim];
+
+    // Linear elements: G·x − rhs contributes to F; G contributes to J.
     let gx = g.mul_vec(x);
     for r in 0..dim {
         f[r] += gx[r] - rhs[r];
@@ -175,13 +194,8 @@ pub fn linearize_at(
         }
     }
 
-    let volt = |node: Option<usize>| -> f64 { node.map_or(0.0, |i| x[i]) };
-
     // MOS devices.
-    for m in &circuit.mosfets {
-        let op = m
-            .model
-            .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
+    for (m, op) in circuit.mosfets.iter().zip(mos_ops) {
         // Channel current out of drain, into source.
         stamp_vec(&mut f, m.d, op.id);
         stamp_vec(&mut f, m.s, -op.id);
@@ -202,8 +216,7 @@ pub fn linearize_at(
     }
 
     // BJTs.
-    for q in &circuit.bjts {
-        let op = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
+    for (q, op) in circuit.bjts.iter().zip(bjt_ops) {
         stamp_vec(&mut f, q.c, op.ic);
         stamp_vec(&mut f, q.b, op.ib);
         stamp_vec(&mut f, q.e, -(op.ic + op.ib));
@@ -224,8 +237,7 @@ pub fn linearize_at(
     }
 
     // Diodes.
-    for d in &circuit.diodes {
-        let op = d.model.op(d.area, volt(d.a) - volt(d.k));
+    for (d, op) in circuit.diodes.iter().zip(diode_ops) {
         stamp_vec(&mut f, d.a, op.id);
         stamp_vec(&mut f, d.k, -op.id);
         stamp(&mut jac, d.a, d.a, op.gd);
@@ -341,26 +353,17 @@ pub fn solve_dc_with(
     };
 
     // Final device evaluations at the solution.
-    let volt = |node: Option<usize>| -> f64 { node.map_or(0.0, |i| x[i]) };
-    let mut mos_ops = Vec::with_capacity(circuit.mosfets.len());
-    let mut device_index = HashMap::new();
-    for (i, m) in circuit.mosfets.iter().enumerate() {
-        mos_ops.push(
-            m.model
-                .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b)),
-        );
-        device_index.insert(m.name.clone(), (DeviceKind::Mos, i));
-    }
-    let mut bjt_ops = Vec::with_capacity(circuit.bjts.len());
-    for (i, q) in circuit.bjts.iter().enumerate() {
-        bjt_ops.push(q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e)));
-        device_index.insert(q.name.clone(), (DeviceKind::Bjt, i));
-    }
-    let mut diode_ops = Vec::with_capacity(circuit.diodes.len());
-    for (i, d) in circuit.diodes.iter().enumerate() {
-        diode_ops.push(d.model.op(d.area, volt(d.a) - volt(d.k)));
-        device_index.insert(d.name.clone(), (DeviceKind::Diode, i));
-    }
+    let (mos_ops, bjt_ops, diode_ops) = circuit.device_ops(&x);
+    let device_index = (circuit.mosfets.iter().enumerate())
+        .map(|(i, m)| (m.name.clone(), (DeviceKind::Mos, i)))
+        .chain(
+            (circuit.bjts.iter().enumerate()).map(|(i, q)| (q.name.clone(), (DeviceKind::Bjt, i))),
+        )
+        .chain(
+            (circuit.diodes.iter().enumerate())
+                .map(|(i, d)| (d.name.clone(), (DeviceKind::Diode, i))),
+        )
+        .collect();
     let node_index = circuit
         .nodes
         .iter()

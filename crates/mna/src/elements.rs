@@ -219,20 +219,6 @@ impl LinElement {
         }
     }
 
-    /// Stamps the ac stimulus of independent sources into `b`.
-    pub fn stamp_ac_rhs(&self, b: &mut [f64], n: usize) {
-        match *self {
-            LinElement::Vsource { ac, branch, .. } if ac != 0.0 => {
-                stamp_vec(b, Some(n + branch), ac);
-            }
-            LinElement::Isource { p, m, ac, .. } if ac != 0.0 => {
-                stamp_vec(b, p, -ac);
-                stamp_vec(b, m, ac);
-            }
-            _ => {}
-        }
-    }
-
     /// The branch index, for branch elements.
     pub fn branch(&self) -> Option<usize> {
         match *self {

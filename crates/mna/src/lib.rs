@@ -52,7 +52,7 @@ pub mod sparse_map;
 pub mod sweep;
 pub mod transient;
 
-pub use assemble::{BjtInstance, BuildError, MosInstance, SizedCircuit};
+pub use assemble::{BjtInstance, BuildError, DeviceOps, MosInstance, SizedCircuit};
 pub use dc::{solve_dc, solve_dc_with, DcError, DcOptions, OpPoint};
 pub use elements::LinElement;
 pub use linear::{LinearSystem, OutputSelector};

@@ -103,18 +103,6 @@ impl OutputSelector {
         let vm = self.m.map_or_else(T::default, |i| x[i]);
         vp - vm
     }
-
-    /// The selector as a dense row vector of length `dim`.
-    pub fn as_vector(&self, dim: usize) -> Vec<f64> {
-        let mut l = vec![0.0; dim];
-        if let Some(i) = self.p {
-            l[i] += 1.0;
-        }
-        if let Some(i) = self.m {
-            l[i] -= 1.0;
-        }
-        l
-    }
 }
 
 /// The small-signal MNA system `(G + sC)·x = b` at a fixed operating
@@ -258,11 +246,6 @@ impl LinearSystem {
     /// MNA dimension (nodes + branches).
     pub fn dim(&self) -> usize {
         self.g.rows()
-    }
-
-    /// Number of node unknowns.
-    pub fn node_count(&self) -> usize {
-        self.n_nodes
     }
 
     /// The unit-stimulus input vector for the named independent source,

@@ -249,16 +249,8 @@ fn stamp_caps_be(
             two_terminal(p, m, c);
         }
     }
-    let volt = |node: Option<usize>| node.map_or(0.0, |i| x[i]);
     for mdev in &circuit.mosfets {
-        let op = mdev.model.op(
-            mdev.w,
-            mdev.l,
-            volt(mdev.d),
-            volt(mdev.g),
-            volt(mdev.s),
-            volt(mdev.b),
-        );
+        let op = mdev.op_at(x);
         two_terminal(mdev.g, mdev.s, op.caps.cgs);
         two_terminal(mdev.g, mdev.d, op.caps.cgd);
         two_terminal(mdev.g, mdev.b, op.caps.cgb);
@@ -266,12 +258,12 @@ fn stamp_caps_be(
         two_terminal(mdev.b, mdev.s, op.caps.cbs);
     }
     for q in &circuit.bjts {
-        let op = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
+        let op = q.op_at(x);
         two_terminal(q.b, q.e, op.cpi);
         two_terminal(q.b, q.c, op.cmu);
     }
     for d in &circuit.diodes {
-        let op = d.model.op(d.area, volt(d.a) - volt(d.k));
+        let op = d.op_at(x);
         two_terminal(d.a, d.k, op.cd);
     }
 }

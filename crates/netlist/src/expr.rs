@@ -336,10 +336,20 @@ impl EvalContext for MapContext<'_> {
 // Parser
 // ---------------------------------------------------------------------
 
+/// Most nesting levels one expression may have: parentheses, call
+/// arguments, signs, powers and the links of an operator chain, counted
+/// over the whole expression. Counting them all, not only the deepest
+/// path, bounds both the parser's recursion and the height of the tree
+/// it builds (evaluation and drop walk it recursively). Deck
+/// expressions use a few dozen at most.
+pub(crate) const MAX_EXPR_LEVELS: usize = 256;
+
 pub(crate) struct ExprParser<'a> {
     line: usize,
     src: &'a [u8],
     pos: usize,
+    /// Nesting levels used so far (see [`MAX_EXPR_LEVELS`]).
+    levels: usize,
 }
 
 impl<'a> ExprParser<'a> {
@@ -348,6 +358,7 @@ impl<'a> ExprParser<'a> {
             line,
             src: src.as_bytes(),
             pos: 0,
+            levels: 0,
         }
     }
 
@@ -387,41 +398,64 @@ impl<'a> ExprParser<'a> {
         Ok(e)
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.term()?;
-        while let Some(c) = self.peek() {
-            let op = match c {
-                b'+' => BinOp::Add,
-                b'-' => BinOp::Sub,
-                _ => break,
-            };
+    /// Takes one more nesting level, failing past [`MAX_EXPR_LEVELS`].
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        if self.levels == MAX_EXPR_LEVELS {
+            return Err(self.err("expression nested too deeply"));
+        }
+        self.levels += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one level deeper: every recursion of the grammar
+    /// (parentheses, call arguments, signs, powers) goes through here.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        self.deeper()?;
+        parse(self)
+    }
+
+    /// A left-associative chain of `next` operands joined by the
+    /// operators `op` maps. Each link deepens the tree, so it takes a
+    /// level too.
+    fn chain(
+        &mut self,
+        next: fn(&mut Self) -> Result<Expr, ParseError>,
+        op: fn(u8) -> Option<BinOp>,
+    ) -> Result<Expr, ParseError> {
+        let mut lhs = next(self)?;
+        while let Some(op) = self.peek().and_then(op) {
             self.bump();
-            let rhs = self.term()?;
+            self.deeper()?;
+            let rhs = next(self)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
+    fn expr(&mut self) -> Result<Expr, ParseError> {
+        self.chain(Self::term, |c| match c {
+            b'+' => Some(BinOp::Add),
+            b'-' => Some(BinOp::Sub),
+            _ => None,
+        })
+    }
+
     fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor()?;
-        while let Some(c) = self.peek() {
-            let op = match c {
-                b'*' => BinOp::Mul,
-                b'/' => BinOp::Div,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.factor()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::factor, |c| match c {
+            b'*' => Some(BinOp::Mul),
+            b'/' => Some(BinOp::Div),
+            _ => None,
+        })
     }
 
     fn factor(&mut self) -> Result<Expr, ParseError> {
         let base = self.unary()?;
         if self.peek() == Some(b'^') {
             self.bump();
-            let exp = self.factor()?; // right associative
+            let exp = self.nested(Self::factor)?; // right associative
             return Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)));
         }
         Ok(base)
@@ -430,11 +464,11 @@ impl<'a> ExprParser<'a> {
     fn unary(&mut self) -> Result<Expr, ParseError> {
         if self.peek() == Some(b'-') {
             self.bump();
-            return Ok(Expr::Neg(Box::new(self.unary()?)));
+            return Ok(Expr::Neg(Box::new(self.nested(Self::unary)?)));
         }
         if self.peek() == Some(b'+') {
             self.bump();
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
@@ -443,7 +477,7 @@ impl<'a> ExprParser<'a> {
         match self.peek() {
             Some(b'(') => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 if self.peek() != Some(b')') {
                     return Err(self.err("expected `)`"));
                 }
@@ -517,7 +551,7 @@ impl<'a> ExprParser<'a> {
             let mut args = Vec::new();
             if self.peek() != Some(b')') {
                 loop {
-                    args.push(self.expr()?);
+                    args.push(self.nested(Self::expr)?);
                     match self.peek() {
                         Some(b',') => {
                             self.bump();
@@ -626,6 +660,28 @@ mod tests {
         assert!(parse_expr(1, "foo(1,").is_err());
         assert!(parse_expr(1, "1 2").is_err());
         assert!(parse_expr(1, "").is_err());
+    }
+
+    /// Nesting past the cap is a structured error, not a stack
+    /// overflow — on a default-size spawned thread.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["(", "-", "+", "2^", "max(1,", "1+", "1*"] {
+            let src = format!("{}1", open.repeat(100_000));
+            let err = std::thread::spawn(move || parse_expr(7, &src).unwrap_err())
+                .join()
+                .expect("parser thread survives");
+            assert!(matches!(err.location(), Some((7, Some(_)))), "{err}");
+            assert!(err.to_string().contains("nested too deeply"), "{err}");
+        }
+        // Levels add up across the expression: short chains inside
+        // nested parentheses cannot stack into a tall tree either.
+        let stacked = format!("{}1{}", "(".repeat(200), "+1)".repeat(200));
+        assert!(parse_expr(1, &stacked).is_err());
+        let ok = "(".repeat(MAX_EXPR_LEVELS) + "1" + &")".repeat(MAX_EXPR_LEVELS);
+        assert_eq!(eval(&ok, &[]), 1.0);
+        let sum = format!("1{}", "+1".repeat(MAX_EXPR_LEVELS));
+        assert_eq!(eval(&sum, &[]), 257.0);
     }
 
     #[test]
